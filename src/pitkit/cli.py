@@ -16,18 +16,19 @@ import math
 import sys
 from typing import Optional
 
-from .core import ConfigError, IterationTrace, NumericalError, propagate_slice
+from .core import ConfigError, IterationTrace, NumericalError
 from .factors import DEFAULT_MODES, DEFAULT_SLICES, BACKWARD_EULER, factor_grid
+from .parareal import reference_fine_sequential
 from .parareal import run as run_parareal
 from .presets import (
     ExperimentConfig,
-    build_model_and_u0,
     build_parareal,
     experiment_preset,
     experiment_preset_names,
     field_preset,
     field_preset_names,
     load_config,
+    read_ini,
     with_iterations,
     without_coarse,
 )
@@ -88,45 +89,25 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _parse_factor_config(path: Optional[str]):
-    modes = DEFAULT_MODES
-    dts = DEFAULT_SLICES
-    length = math.pi
-    if path is not None:
-        import configparser
+_FACTOR_KINDS = {"factors.m_min": int, "factors.m_max": int,
+                 "factors.dts": "floats", "factors.length": float}
 
-        parser = configparser.ConfigParser(interpolation=None)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                parser.read_file(handle)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except configparser.Error as exc:
-            raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-        for section in parser.sections():
-            if section != "factors":
-                raise ConfigError(f"unknown config section [{section}] for factors")
-        if parser.has_section("factors"):
-            keys = dict(parser.items("factors"))
-            unknown = set(keys) - {"m_min", "m_max", "dts", "length"}
-            if unknown:
-                raise ConfigError(f"unknown config key factors.{sorted(unknown)[0]}")
-            try:
-                m_min = int(keys.get("m_min", modes[0]))
-                m_max = int(keys.get("m_max", modes[-1]))
-                length = float(keys.get("length", length))
-                if "dts" in keys:
-                    dts = tuple(float(tok) for tok in keys["dts"].replace(",", " ").split())
-            except ValueError as exc:
-                raise ConfigError(f"factors: {exc}") from exc
-            modes = tuple(range(m_min, m_max + 1))
-    if not modes or modes[0] < 1:
+
+def _parse_factor_config(path: Optional[str]):
+    values = {} if path is None else read_ini(path, _FACTOR_KINDS)
+    m_min = values.get("factors.m_min", DEFAULT_MODES[0])
+    m_max = values.get("factors.m_max", DEFAULT_MODES[-1])
+    dts = values.get("factors.dts", DEFAULT_SLICES)
+    length = values.get("factors.length", math.pi)
+    if m_min > m_max:
+        raise ConfigError(f"factors: the mode range m_min = {m_min} .. m_max = {m_max} is empty")
+    if m_min < 1:
         raise ConfigError("factors.m_min: sine modes start at 1, the zero mode never contracts")
     if not dts or any(dt <= 0.0 for dt in dts):
         raise ConfigError("factors.dts: need a nonempty list of positive slice lengths")
     if length <= 0.0:
         raise ConfigError(f"factors.length: must be positive, got {length}")
-    return modes, dts, length
+    return tuple(range(m_min, m_max + 1)), dts, length
 
 
 def cmd_factors(args) -> int:
@@ -150,24 +131,12 @@ def cmd_factors(args) -> int:
 
 def cmd_solution_field(args) -> int:
     config = field_preset(args.preset)
-    model, state = build_model_and_u0(config)
     parareal = build_parareal(config)
-    partition = parareal.partition
-    grid_x = model.grid_x
-
-    lines = [FIELD_HEADER]
-    lines.extend(_header_lines(config.echo()))
-    lines.append("x,t,u")
-
-    def emit(t: float, values) -> None:
-        for x, u in zip(grid_x, values):
-            lines.append(f"{_fmt(x)},{_fmt(t)},{_fmt(u)}")
-
-    emit(partition.boundary(0), state.values)
-    for n in range(partition.n_slices):
-        t0, t1 = partition.slice_bounds(n)
-        state = propagate_slice(model, parareal.fine, state, t0, t1)
-        emit(t1, state.values)
+    grid_x = parareal.fine.model.grid_x
+    lines = [FIELD_HEADER, *_header_lines(config.echo()), "x,t,u"]
+    states = reference_fine_sequential(parareal)
+    for t, state in zip(parareal.partition.boundaries, states):
+        lines.extend(f"{_fmt(x)},{_fmt(t)},{_fmt(u)}" for x, u in zip(grid_x, state.values))
     _write("\n".join(lines) + "\n", args.out)
     return 0
 

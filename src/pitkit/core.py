@@ -165,8 +165,6 @@ class TimePartition:
 
 
 def make_uniform_partition(t_end: float, n_slices: int, t_start: float = 0.0) -> TimePartition:
-    if not t_end > t_start:
-        raise ValueError(f"t_end must exceed t_start, got {t_end} <= {t_start}")
     return TimePartition(t_start, t_end, n_slices)
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import ConfigError
+from .spectral import SpectralModel
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,8 @@ def factor_grid(modes: Sequence[int] = DEFAULT_MODES,
     (m*pi/length)**2.  The default length pi makes the rate m**2."""
     if length <= 0.0:
         raise ConfigError(f"domain length must be positive, got {length}")
-    # pi/length first so the default length pi gives exactly m**2
-    rates = [(m * (math.pi / length)) ** 2 for m in modes]
+    model = SpectralModel(length)
+    rates = [model.decay_rate(m) for m in modes]
     nc = tuple(
         tuple(rho_no_coarse(rate, dt) for dt in dts) for rate in rates
     )

@@ -33,8 +33,7 @@ class SourceTerm:
     """Separable forcing f(x, t) = space_profile(x) * time_profile(t).
 
     kind "zero" is no forcing, "pulsed_gaussian" is the bump-with-pulses
-    default, "modes" is a time-constant sum of sine modes (handy for
-    cross-checks against the spectral solver).
+    default.
     """
 
     kind: str = "zero"
@@ -43,10 +42,9 @@ class SourceTerm:
     space_decay: float = 100.0
     pulse_times: tuple[float, ...] = PULSE_TIMES
     time_decay: float = 100.0
-    mode_coefficients: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("zero", "pulsed_gaussian", "modes"):
+        if self.kind not in ("zero", "pulsed_gaussian"):
             raise ValueError(f"unknown source kind {self.kind!r}")
 
     @classmethod
@@ -57,31 +55,20 @@ class SourceTerm:
     def pulsed(cls, **overrides) -> "SourceTerm":
         return cls(kind="pulsed_gaussian", **overrides)
 
-    @classmethod
-    def modes(cls, coefficients) -> "SourceTerm":
-        return cls(kind="modes", mode_coefficients=tuple((int(m), float(a)) for m, a in coefficients))
-
     def space_profile(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.kind == "zero":
             return np.zeros_like(x)
-        if self.kind == "pulsed_gaussian":
-            return self.amplitude * np.exp(-self.space_decay * (x - self.x_center) ** 2)
-        out = np.zeros_like(x)
-        for m, a in self.mode_coefficients:
-            out += a * np.sin(m * math.pi * x)
-        return out
+        return self.amplitude * np.exp(-self.space_decay * (x - self.x_center) ** 2)
 
     def time_profile(self, t: float) -> float:
         if self.kind == "zero":
             return 0.0
-        if self.kind == "pulsed_gaussian":
-            return float(sum(math.exp(-self.time_decay * (t - tj) ** 2) for tj in self.pulse_times))
-        return 1.0
+        return float(sum(math.exp(-self.time_decay * (t - tj) ** 2) for tj in self.pulse_times))
 
     @property
     def is_zero(self) -> bool:
-        return self.kind == "zero" or (self.kind == "modes" and not self.mode_coefficients)
+        return self.kind == "zero"
 
 
 def sample_source(source: SourceTerm, x: np.ndarray, t: float) -> np.ndarray:
@@ -267,7 +254,7 @@ def backward_euler_step(model: HeatModel, state: StateVector, t: float, dt: floa
     The source is sampled at the step end, which is the consistent choice
     for the implicit scheme.
     """
-    _check_layout(model, state)
+    check_layout(model, state)
     factor = _ThomasFactor(implicit_system(model, dt))
     return _step(model, factor, state, t, dt)
 
@@ -280,9 +267,24 @@ def _step(model: HeatModel, factor: _ThomasFactor, state: StateVector,
     return StateVector(state.layout, factor.solve(rhs))
 
 
-def _check_layout(model: HeatModel, state: StateVector):
+def check_layout(model, state: StateVector):
+    """A grid model's state must have the model's own layout."""
     if state.layout != model.layout():
         raise ValueError(f"state layout {state.layout} does not fit model {model}")
+
+
+def substep_length(model, spec: PropagatorSpec, state: StateVector,
+                   t_from: float, t_to: float) -> float:
+    """Length of each of the spec.steps_per_slice equal inner steps a grid
+    propagator takes across [t_from, t_to], after checking the step count,
+    the interval and the state's layout."""
+    steps = spec.steps_per_slice
+    if steps < 1:
+        raise ConfigError(f"{spec.role} propagator needs steps_per_slice >= 1, got {steps}")
+    if not t_to > t_from:
+        raise ValueError(f"need t_to > t_from, got [{t_from}, {t_to}]")
+    check_layout(model, state)
+    return (t_to - t_from) / steps
 
 
 def propagate(model: HeatModel, spec: PropagatorSpec, state: StateVector,
@@ -293,14 +295,9 @@ def propagate(model: HeatModel, spec: PropagatorSpec, state: StateVector,
     sweep over adjacent slices hits exactly the same instants as one long
     propagate over their union.
     """
+    dt = substep_length(model, spec, state, t_from, t_to)
     steps = spec.steps_per_slice
-    if steps < 1:
-        raise ConfigError(f"{spec.role} propagator needs steps_per_slice >= 1, got {steps}")
-    if not t_to > t_from:
-        raise ValueError(f"need t_to > t_from, got [{t_from}, {t_to}]")
-    _check_layout(model, state)
     span = t_to - t_from
-    dt = span / steps
     factor = _ThomasFactor(implicit_system(model, dt))
     for i in range(steps):
         t_i = t_from + (i * span) / steps

@@ -19,7 +19,14 @@ from .core import (
     StateVector,
     propagate_slice,
 )
-from .heat import SourceTerm, TridiagonalSystem, _ThomasFactor, sample_source
+from .heat import (
+    SourceTerm,
+    TridiagonalSystem,
+    _ThomasFactor,
+    check_layout,
+    sample_source,
+    substep_length,
+)
 
 
 @dataclass(frozen=True)
@@ -67,8 +74,7 @@ def advection_step(model: AdvectionModel, state: StateVector, t: float, dt: floa
     nu = speed*dt/dx must not exceed 1; at nu = 1 the step is an exact
     shift by one cell.
     """
-    if state.layout != model.layout():
-        raise ValueError(f"state layout {state.layout} does not fit model {model}")
+    check_layout(model, state)
     nu = model.speed * dt / model.dx
     if nu > 1.0 + 1e-12:
         raise ConfigError(f"CFL number {nu:.6g} exceeds 1; shrink dt or the speed")
@@ -151,8 +157,7 @@ def wave_step(model: WaveModel, state: StateVector, t: float, dt: float) -> Stat
     midpoint rule, so the quadratic energy above is conserved to roundoff
     and stepping dt then -dt returns the initial state.
     """
-    if state.layout != model.layout():
-        raise ValueError(f"state layout {state.layout} does not fit model {model}")
+    check_layout(model, state)
     lap, factor = _wave_factor(model, dt)
     return _wave_substep(model, lap, factor, state, dt)
 
@@ -167,28 +172,27 @@ def _wave_substep(model: WaveModel, lap: TridiagonalSystem, factor: _ThomasFacto
     return model.state_from(u_new, v_new)
 
 
-def propagate(model, spec: PropagatorSpec, state: StateVector,
-              t_from: float, t_to: float) -> StateVector:
-    """Advance across one slice with spec.steps_per_slice inner steps."""
+def advection_propagate(model: AdvectionModel, spec: PropagatorSpec, state: StateVector,
+                        t_from: float, t_to: float) -> StateVector:
+    """Advance across one slice with spec.steps_per_slice upwind steps."""
+    dt = substep_length(model, spec, state, t_from, t_to)
     steps = spec.steps_per_slice
-    if steps < 1:
-        raise ConfigError(f"{spec.role} propagator needs steps_per_slice >= 1, got {steps}")
-    if not t_to > t_from:
-        raise ValueError(f"need t_to > t_from, got [{t_from}, {t_to}]")
     span = t_to - t_from
-    dt = span / steps
-    if isinstance(model, WaveModel):
-        if state.layout != model.layout():
-            raise ValueError(f"state layout {state.layout} does not fit model {model}")
-        lap, factor = _wave_factor(model, dt)
-        for _ in range(steps):
-            state = _wave_substep(model, lap, factor, state, dt)
-        return state
     for i in range(steps):
         t_i = t_from + (i * span) / steps
         state = advection_step(model, state, t_i, dt)
     return state
 
 
-propagate_slice.register(AdvectionModel, propagate)
-propagate_slice.register(WaveModel, propagate)
+def wave_propagate(model: WaveModel, spec: PropagatorSpec, state: StateVector,
+                   t_from: float, t_to: float) -> StateVector:
+    """Advance across one slice with spec.steps_per_slice trapezoidal steps."""
+    dt = substep_length(model, spec, state, t_from, t_to)
+    lap, factor = _wave_factor(model, dt)
+    for _ in range(spec.steps_per_slice):
+        state = _wave_substep(model, lap, factor, state, dt)
+    return state
+
+
+propagate_slice.register(AdvectionModel, advection_propagate)
+propagate_slice.register(WaveModel, wave_propagate)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,6 +37,7 @@ from .core import (
     propagate_slice,
     zeros_like,
 )
+from .factors import iteration_error_bound
 from .spectral import SpectralModel
 
 GUESS_KINDS = ("default", "zero", "replicate_u0", "coarse_sweep", "random")
@@ -98,20 +99,15 @@ class PararealConfig:
 
 @dataclass(frozen=True)
 class PararealState:
-    """Boundary values U^k_0..U^k_N for one iteration, plus the previous set."""
+    """Boundary values U^k_0..U^k_N for one iteration."""
 
     values: tuple[StateVector, ...]
     k: int = 0
-    previous: Optional[tuple[StateVector, ...]] = field(default=None, repr=False)
 
 
-def _fine(config: PararealConfig, state: StateVector, n: int) -> StateVector:
-    t0, t1 = config.partition.slice_bounds(n)
-    return propagate_slice(config.fine.model, config.fine, state, t0, t1)
-
-
-def _coarse(config: PararealConfig, state: StateVector, n: int) -> StateVector:
-    spec = config.effective_coarse
+def _propagate(config: PararealConfig, spec: PropagatorSpec, state: StateVector,
+               n: int) -> StateVector:
+    """Advance ``state`` across slice n with the given propagator."""
     t0, t1 = config.partition.slice_bounds(n)
     return propagate_slice(spec.model, spec, state, t0, t1)
 
@@ -120,7 +116,7 @@ def reference_fine_sequential(config: PararealConfig) -> tuple[StateVector, ...]
     """Slice boundary values of the plain sequential fine run."""
     values = [config.u0]
     for n in range(config.partition.n_slices):
-        values.append(_fine(config, values[n], n))
+        values.append(_propagate(config, config.fine, values[n], n))
     return tuple(values)
 
 
@@ -134,7 +130,7 @@ def initialize_guess(config: PararealConfig) -> PararealState:
     elif kind == "coarse_sweep":
         values = [config.u0]
         for n in range(n_slices):
-            values.append(_coarse(config, values[n], n))
+            values.append(_propagate(config, config.effective_coarse, values[n], n))
     elif kind == "random":
         rng = np.random.default_rng(config.seed)
         values = [config.u0]
@@ -151,24 +147,25 @@ def parareal_iterate(state: PararealState, config: PararealConfig,
     coarse correction (or a plain copy-forward without a coarse propagator)."""
     n_slices = config.partition.n_slices
     old = state.values
+
+    def fine(n: int) -> StateVector:
+        return _propagate(config, config.fine, old[n], n)
+
     if executor is None:
-        fine_values = [_fine(config, old[n], n) for n in range(n_slices)]
+        fine_values = [fine(n) for n in range(n_slices)]
     else:
-        fine_values = list(executor.map(lambda n: _fine(config, old[n], n), range(n_slices)))
+        fine_values = list(executor.map(fine, range(n_slices)))
 
     new = [config.u0]
-    if config.effective_coarse is None:
+    coarse = config.effective_coarse
+    if coarse is None:
         new.extend(fine_values)
     else:
         for n in range(n_slices):
-            g_new = _coarse(config, new[n], n)
-            g_old = _coarse(config, old[n], n)
+            g_new = _propagate(config, coarse, new[n], n)
+            g_old = _propagate(config, coarse, old[n], n)
             new.append(fine_values[n] + (g_new - g_old))
-    return PararealState(tuple(new), k=state.k + 1, previous=old)
-
-
-def _sup_error(values: tuple[StateVector, ...], reference: tuple[StateVector, ...]) -> list[float]:
-    return [discrete_l2_norm(v - r) for v, r in zip(values, reference)]
+    return PararealState(tuple(new), k=state.k + 1)
 
 
 def run(config: PararealConfig, *, fine_parallel: bool = True,
@@ -194,34 +191,32 @@ def run(config: PararealConfig, *, fine_parallel: bool = True,
         bound_rate = fine_model.slowest_uncovered_rate(covered)
 
     entries: list[TraceEntry] = []
+    sups: list[float] = []
     delta_t = config.partition.delta_t
 
-    def record(k: int, values: tuple[StateVector, ...], wall_ms: float) -> float:
-        errors = _sup_error(values, reference)
-        sup = max(errors)
-        if not np.isfinite(sup):
-            raise NumericalError(f"iteration {k} produced a non-finite error {sup}")
+    def record(k: int, values: tuple[StateVector, ...], wall_ms: float) -> None:
+        errors = [discrete_l2_norm(v - r) for v, r in zip(values, reference)]
+        sups.append(max(errors))
+        if not np.isfinite(sups[-1]):
+            raise NumericalError(f"iteration {k} produced a non-finite error {sups[-1]}")
         bound = None
         if bound_rate is not None:
-            if k == 0:
-                record.sup0 = sup
-            bound = float(np.exp(-bound_rate * k * delta_t) * record.sup0)
+            bound = iteration_error_bound(k, delta_t, bound_rate, sups[0])
         for n, err in enumerate(errors):
             entries.append(TraceEntry(k, n, err, bound=bound, wall_time_ms=wall_ms))
-        return sup
 
     start = time.perf_counter()
-    sup = record(0, state.values, (time.perf_counter() - start) * 1e3)
+    record(0, state.values, (time.perf_counter() - start) * 1e3)
     executor = None
     try:
         if fine_parallel and config.partition.n_slices > 1:
             executor = ThreadPoolExecutor(max_workers=config.partition.n_slices)
         for _ in range(config.max_iterations):
-            if config.tolerance > 0.0 and sup <= config.tolerance:
+            if config.tolerance > 0.0 and sups[-1] <= config.tolerance:
                 break
             start = time.perf_counter()
             state = parareal_iterate(state, config, executor)
-            sup = record(state.k, state.values, (time.perf_counter() - start) * 1e3)
+            record(state.k, state.values, (time.perf_counter() - start) * 1e3)
             if on_iteration is not None:
                 on_iteration(state.k, state.values)
     finally:

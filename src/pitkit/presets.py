@@ -3,7 +3,9 @@
 A config document has sections [model], [source], [initial], [partition],
 [fine], [coarse], [run]; every key has a default, and the defaults as a
 whole reproduce the heat-dirichlet-N48 experiment.  Mode lists are written
-as space-separated index:value pairs, e.g. "1:1.0 2:0.5".
+as space-separated index:value pairs, e.g. "1:1.0 2:0.5".  ``read_ini`` is
+the one typed INI reader, shared with the factors command; floats must be
+finite.
 """
 
 from __future__ import annotations
@@ -69,84 +71,85 @@ class ExperimentConfig:
             raise ConfigError(f"coarse.role: must be 'coarse' or 'none', got {self.coarse_role!r}")
         if self.initial_guess not in GUESS_KINDS:
             raise ConfigError(f"run.initial_guess: unknown kind {self.initial_guess!r}")
+        if self.seed < 0:
+            raise ConfigError(f"run.seed: must be >= 0, got {self.seed}")
 
     def echo(self) -> dict[str, str]:
         """Flat section.key mapping of every field, for trace headers."""
-        pairs = {
-            "model.kind": self.model_kind,
-            "model.bc": self.bc,
-            "model.n_cells": repr(self.n_cells),
-            "model.speed": repr(self.speed),
-            "model.length": repr(self.length),
-            "model.basis": self.basis,
-            "source.kind": self.source_kind,
-            "source.modes": _format_modes(self.source_modes),
-            "initial.kind": self.initial_kind,
-            "initial.modes": _format_modes(self.initial_modes),
-            "partition.t_start": repr(self.t_start),
-            "partition.t_end": repr(self.t_end),
-            "partition.n_slices": repr(self.n_slices),
-            "fine.steps_per_slice": repr(self.fine_steps),
-            "fine.mode_count": repr(self.fine_modes),
-            "coarse.role": self.coarse_role,
-            "coarse.steps_per_slice": repr(self.coarse_steps),
-            "coarse.mode_count": repr(self.coarse_modes),
-            "run.initial_guess": self.initial_guess,
-            "run.iterations": repr(self.iterations),
-            "run.tolerance": repr(self.tolerance),
-            "run.seed": repr(self.seed),
-            "run.timings": repr(self.timings).lower(),
-            "run.parallel": repr(self.parallel).lower(),
-            "preset": self.preset,
-        }
+        pairs = {key: _format_value(kind, getattr(self, field))
+                 for key, (field, kind) in _SCHEMA.items()}
+        pairs["preset"] = self.preset
         return pairs
 
 
-def _format_modes(modes: tuple[tuple[int, float], ...]) -> str:
-    return " ".join(f"{m}:{repr(c)}" for m, c in modes)
-
-
-def _parse_modes(text: str, field: str) -> tuple[tuple[int, float], ...]:
-    pairs = []
-    for token in text.split():
-        try:
-            m_text, c_text = token.split(":", 1)
-            pairs.append((int(m_text), float(c_text)))
-        except ValueError:
-            raise ConfigError(f"{field}: cannot parse mode entry {token!r}, expected m:value")
-    return tuple(pairs)
-
-
+# section.key -> (ExperimentConfig field, kind); drives load_config and echo
 _SCHEMA = {
-    "model": {"kind": str, "bc": str, "n_cells": int, "speed": float,
-              "length": float, "basis": str},
-    "source": {"kind": str, "modes": "modes"},
-    "initial": {"kind": str, "modes": "modes"},
-    "partition": {"t_start": float, "t_end": float, "n_slices": int},
-    "fine": {"steps_per_slice": int, "mode_count": int},
-    "coarse": {"role": str, "steps_per_slice": int, "mode_count": int},
-    "run": {"initial_guess": str, "iterations": int, "tolerance": float,
-            "seed": int, "timings": bool, "parallel": bool},
+    "model.kind": ("model_kind", str),
+    "model.bc": ("bc", str),
+    "model.n_cells": ("n_cells", int),
+    "model.speed": ("speed", float),
+    "model.length": ("length", float),
+    "model.basis": ("basis", str),
+    "source.kind": ("source_kind", str),
+    "source.modes": ("source_modes", "modes"),
+    "initial.kind": ("initial_kind", str),
+    "initial.modes": ("initial_modes", "modes"),
+    "partition.t_start": ("t_start", float),
+    "partition.t_end": ("t_end", float),
+    "partition.n_slices": ("n_slices", int),
+    "fine.steps_per_slice": ("fine_steps", int),
+    "fine.mode_count": ("fine_modes", int),
+    "coarse.role": ("coarse_role", str),
+    "coarse.steps_per_slice": ("coarse_steps", int),
+    "coarse.mode_count": ("coarse_modes", int),
+    "run.initial_guess": ("initial_guess", str),
+    "run.iterations": ("iterations", int),
+    "run.tolerance": ("tolerance", float),
+    "run.seed": ("seed", int),
+    "run.timings": ("timings", bool),
+    "run.parallel": ("parallel", bool),
 }
 
-_FIELD_NAMES = {
-    "model.kind": "model_kind", "model.bc": "bc", "model.n_cells": "n_cells",
-    "model.speed": "speed", "model.length": "length", "model.basis": "basis",
-    "source.kind": "source_kind", "source.modes": "source_modes",
-    "initial.kind": "initial_kind", "initial.modes": "initial_modes",
-    "partition.t_start": "t_start", "partition.t_end": "t_end",
-    "partition.n_slices": "n_slices",
-    "fine.steps_per_slice": "fine_steps", "fine.mode_count": "fine_modes",
-    "coarse.role": "coarse_role", "coarse.steps_per_slice": "coarse_steps",
-    "coarse.mode_count": "coarse_modes",
-    "run.initial_guess": "initial_guess", "run.iterations": "iterations",
-    "run.tolerance": "tolerance", "run.seed": "seed", "run.timings": "timings",
-    "run.parallel": "parallel",
-}
+
+def _format_value(kind, value) -> str:
+    if kind == "modes":
+        return " ".join(f"{m}:{c!r}" for m, c in value)
+    if kind is bool:
+        return repr(value).lower()
+    return value if kind is str else repr(value)
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Parse an INI config document; unknown sections or keys are errors."""
+def _parse_value(key: str, kind, raw: str):
+    """One INI value: str, int, float, bool, "modes" (m:value pairs) or
+    "floats" (a space- or comma-separated list).  Floats must be finite."""
+    if kind is bool:
+        lowered = raw.strip().lower()
+        if lowered not in ("true", "false", "yes", "no", "1", "0"):
+            raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+        return lowered in ("true", "yes", "1")
+    if kind == "modes":
+        return tuple(_parse_mode(key, token) for token in raw.split())
+    if kind == "floats":
+        return tuple(_parse_value(key, float, token) for token in raw.replace(",", " ").split())
+    try:
+        value = kind(raw)
+    except ValueError:
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {raw!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+    return value
+
+
+def _parse_mode(key: str, token: str) -> tuple[int, float]:
+    m_text, sep, c_text = token.partition(":")
+    if not sep:
+        raise ConfigError(f"{key}: cannot parse mode entry {token!r}, expected m:value")
+    return _parse_value(key, int, m_text), _parse_value(key, float, c_text)
+
+
+def read_ini(path: str, kinds: dict) -> dict[str, object]:
+    """Typed values of an INI document, keyed section.key.  Sections and keys
+    missing from ``kinds`` are errors."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as handle:
@@ -156,30 +159,25 @@ def load_config(path: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
-    overrides = {}
+    sections = {key.split(".", 1)[0] for key in kinds}
+    values = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown config key {section}.{key}")
-            field = f"{section}.{key}"
-            kind = _SCHEMA[section][key]
-            if kind == "modes":
-                value = _parse_modes(raw, field)
-            elif kind is bool:
-                lowered = raw.strip().lower()
-                if lowered not in ("true", "false", "yes", "no", "1", "0"):
-                    raise ConfigError(f"{field}: expected a boolean, got {raw!r}")
-                value = lowered in ("true", "yes", "1")
-            else:
-                try:
-                    value = kind(raw)
-                except ValueError:
-                    raise ConfigError(f"{field}: expected {kind.__name__}, got {raw!r}")
-            if field == "model.bc":
-                value = _BC_ALIASES.get(value, value)
-            overrides[_FIELD_NAMES[field]] = value
+        for name, raw in parser.items(section):
+            key = f"{section}.{name}"
+            if key not in kinds:
+                raise ConfigError(f"unknown config key {key}")
+            values[key] = _parse_value(key, kinds[key], raw)
+    return values
+
+
+def load_config(path: str) -> ExperimentConfig:
+    """Parse an INI config document; unknown sections or keys are errors."""
+    values = read_ini(path, {key: kind for key, (_, kind) in _SCHEMA.items()})
+    overrides = {_SCHEMA[key][0]: value for key, value in values.items()}
+    if "bc" in overrides:
+        overrides["bc"] = _BC_ALIASES.get(overrides["bc"], overrides["bc"])
     try:
         return ExperimentConfig(**overrides)
     except (ValueError, TypeError) as exc:
@@ -209,56 +207,48 @@ def _gaussian_bump(x: np.ndarray) -> np.ndarray:
 
 
 def build_model_and_u0(config: ExperimentConfig):
-    kind = config.model_kind
+    kind, initial = config.model_kind, config.initial_kind
     source = _build_source(config)
-    if kind == "heat":
-        model = HeatModel(config.n_cells, config.bc, source)
-        if config.initial_kind == "zero":
-            u0 = model.zero_state()
-        elif config.initial_kind == "gaussian_bump":
-            u0 = StateVector(model.layout(), _gaussian_bump(model.grid_x))
-        else:
-            raise ConfigError("initial.kind: mode data on a heat grid is not supported")
-        return model, u0
     if kind == "spectral":
         model = SpectralModel(config.length, config.basis, source)
-        if config.initial_kind == "zero":
-            u0 = model.zero_state(config.fine_modes)
-        elif config.initial_kind == "modes":
-            u0 = model.state_from_modes(dict(config.initial_modes), config.fine_modes)
-        else:
-            raise ConfigError(f"initial.kind: {config.initial_kind!r} needs a grid model")
-        return model, u0
-    if kind == "advection":
-        model = AdvectionModel(config.speed, config.n_cells, config.bc, source)
-        if config.initial_kind == "zero":
-            u0 = model.zero_state()
-        elif config.initial_kind == "gaussian_bump":
-            u0 = StateVector(model.layout(), _gaussian_bump(model.grid_x))
-        else:
-            raise ConfigError("initial.kind: mode data on an advection grid is not supported")
-        return model, u0
-    model = WaveModel(config.n_cells)
-    if config.initial_kind == "zero":
+        if initial == "zero":
+            return model, model.zero_state(config.fine_modes)
+        if initial == "modes":
+            return model, model.state_from_modes(dict(config.initial_modes), config.fine_modes)
+        raise ConfigError(f"initial.kind: {initial!r} needs a grid model")
+    if kind == "wave":
+        model = WaveModel(config.n_cells)
+        if initial not in ("zero", "modes"):
+            raise ConfigError("initial.kind: the wave model takes zero or mode data")
         u = np.zeros(model.n_unknowns)
-    elif config.initial_kind == "modes":
-        u = np.zeros(model.n_unknowns)
-        for m, c in config.initial_modes:
-            u += c * np.sin(m * np.pi * model.grid_x)
+        if initial == "modes":
+            for m, c in config.initial_modes:
+                u += c * np.sin(m * np.pi * model.grid_x)
+        return model, model.state_from(u, np.zeros(model.n_unknowns))
+    if kind == "heat":
+        model = HeatModel(config.n_cells, config.bc, source)
     else:
-        raise ConfigError("initial.kind: the wave model takes zero or mode data")
-    return model, model.state_from(u, np.zeros(model.n_unknowns))
+        model = AdvectionModel(config.speed, config.n_cells, config.bc, source)
+    if initial == "zero":
+        return model, model.zero_state()
+    if initial == "gaussian_bump":
+        return model, StateVector(model.layout(), _gaussian_bump(model.grid_x))
+    raise ConfigError(f"initial.kind: the {kind} model takes zero or gaussian_bump data")
 
 
 def build_parareal(config: ExperimentConfig) -> PararealConfig:
-    model, u0 = build_model_and_u0(config)
-    partition = make_uniform_partition(config.t_end, config.n_slices, config.t_start)
-    if config.model_kind == "spectral":
-        fine = PropagatorSpec(model, "fine", mode_count=config.fine_modes)
-        coarse = PropagatorSpec(model, config.coarse_role, mode_count=config.coarse_modes)
-    else:
-        fine = PropagatorSpec(model, "fine", steps_per_slice=config.fine_steps)
-        coarse = PropagatorSpec(model, config.coarse_role, steps_per_slice=config.coarse_steps)
+    try:
+        model, u0 = build_model_and_u0(config)
+        partition = make_uniform_partition(config.t_end, config.n_slices, config.t_start)
+        if config.model_kind == "spectral":
+            fine = PropagatorSpec(model, "fine", mode_count=config.fine_modes)
+            coarse = PropagatorSpec(model, config.coarse_role, mode_count=config.coarse_modes)
+        else:
+            fine = PropagatorSpec(model, "fine", steps_per_slice=config.fine_steps)
+            coarse = PropagatorSpec(model, config.coarse_role, steps_per_slice=config.coarse_steps)
+    except ValueError as exc:
+        # a model, state or partition constructor rejected a config value
+        raise ConfigError(str(exc)) from exc
     return PararealConfig(
         partition=partition,
         u0=u0,

@@ -111,8 +111,9 @@ class SpectralModel:
         if self.basis not in ("sine", "cosine"):
             raise ValueError(f"unknown basis {self.basis!r}")
 
-    def decay_rate(self, m: int) -> float:
-        """Rate (m*pi/length)^2 of mode m; m = 0 (cosine constant) gives 0.
+    def decay_rate(self, m):
+        """Rate (m*pi/length)^2 of mode m, or of each entry of an array of
+        modes; m = 0 (cosine constant) gives 0.
 
         Grouped as (m*(pi/length))^2 so the default length pi yields the
         integer m**2 exactly."""
@@ -120,11 +121,6 @@ class SpectralModel:
 
     def mode_index(self, position: int) -> int:
         return position + 1 if self.basis == "sine" else position
-
-    def mode_indices(self, m_max: int) -> np.ndarray:
-        if self.basis == "sine":
-            return np.arange(1, m_max + 1)
-        return np.arange(0, m_max + 1)
 
     def layout(self, m_max: int) -> ModeLayout:
         return ModeLayout(m_max, self.basis, self.length)
@@ -206,7 +202,7 @@ def spectral_propagate(model: SpectralModel, spec: PropagatorSpec, state: StateV
     span = t_to - t_from
     positions = np.arange(kept)
     modes = positions + 1 if model.basis == "sine" else positions
-    rates = (modes * math.pi / model.length) ** 2
+    rates = model.decay_rate(modes)
     values[:kept] = state.values[:kept] * np.exp(-rates * span)
     if model.source.kind != "zero":
         for position in range(kept):
@@ -282,44 +278,3 @@ def reconstruct(state: StateVector, grid: GridLayout) -> StateVector:
     m = np.arange(0, layout.m_max + 1)
     basis = np.cos(np.pi * np.outer(i, m) / n_cells)
     return StateVector(grid, basis @ state.values)
-
-
-def parseval_norm(state: StateVector, length: Optional[float] = None) -> float:
-    """L2 norm of the function represented by a coefficient vector."""
-    layout = state.layout
-    if not isinstance(layout, ModeLayout):
-        raise ValueError("parseval_norm expects a mode state")
-    L = layout.length if length is None else length
-    v = state.values
-    if layout.basis == "sine":
-        return float(np.sqrt(0.5 * L * np.dot(v, v)))
-    return float(np.sqrt(L * v[0] ** 2 + 0.5 * L * np.dot(v[1:], v[1:])))
-
-
-def project_space_profile(profile_fn: Callable, m_max: int, length: float,
-                          basis: str = "sine") -> tuple[tuple[int, float], ...]:
-    """Sine (or cosine) expansion coefficients of a space profile on (0, length).
-
-    Fixed-panel Gauss-Legendre quadrature, 64 panels of 16 points, which is
-    plenty for the smooth bump profiles used by the presets.
-    """
-    n_panels = 64
-    edges = length * np.arange(n_panels + 1) / n_panels
-    half = 0.5 * length / n_panels
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    xs = (centers[:, None] + half * _GAUSS_NODES[None, :]).ravel()
-    ws = np.tile(half * _GAUSS_WEIGHTS, n_panels)
-    fx = np.asarray(profile_fn(xs), dtype=float)
-    pairs = []
-    if basis == "sine":
-        for m in range(1, m_max + 1):
-            c = (2.0 / length) * float(np.dot(ws, fx * np.sin(m * np.pi * xs / length)))
-            pairs.append((m, c))
-    elif basis == "cosine":
-        for m in range(0, m_max + 1):
-            scale = 1.0 / length if m == 0 else 2.0 / length
-            c = scale * float(np.dot(ws, fx * np.cos(m * np.pi * xs / length)))
-            pairs.append((m, c))
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
-    return tuple(pairs)

@@ -2,11 +2,18 @@ import filecmp
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from pitkit.cli import FACTORS_HEADER, FIELD_HEADER, TRACE_HEADER, main
-from pitkit.presets import experiment_preset_names, field_preset_names
+from pitkit.presets import (
+    experiment_preset,
+    experiment_preset_names,
+    field_preset,
+    field_preset_names,
+    load_config,
+)
 
 
 def _rows(path):
@@ -214,6 +221,59 @@ def test_bc_alias_for_inflow_wall(tmp_path):
     assert _header(out)["model.bc"] == "inflow"
 
 
+# name -> (config document, a fragment the error message must contain);
+# each is rejected before any sweep runs
+_BAD_RUN_CONFIGS = {
+    "heat-one-cell": ("[model]\nkind = heat\nn_cells = 1\n", "n_cells"),
+    "wave-one-cell": ("[model]\nkind = wave\nn_cells = 1\n[source]\nkind = zero\n"
+                      "[coarse]\nrole = none\n", "n_cells"),
+    "no-slices": ("[partition]\nn_slices = 0\n", "n_slices"),
+    "advection-dirichlet": ("[model]\nkind = advection\nbc = dirichlet\n", "bc 'dirichlet'"),
+    "spectral-no-fine-modes": ("[model]\nkind = spectral\n[source]\nkind = zero\n"
+                               "[fine]\nmode_count = 0\n", "m_max"),
+    "spectral-negative-length": ("[model]\nkind = spectral\nlength = -1\n"
+                                 "[source]\nkind = zero\n", "length"),
+    "spectral-mode-outside-layout": ("[model]\nkind = spectral\n[source]\nkind = zero\n"
+                                     "[initial]\nkind = modes\nmodes = 100:1.0\n"
+                                     "[fine]\nmode_count = 64\n", "mode 100"),
+    "negative-seed": ("[run]\ninitial_guess = random\nseed = -1\n", "run.seed"),
+    "t_end-nan": ("[partition]\nt_end = nan\n", "partition.t_end: expected a finite number"),
+    "t_end-inf": ("[partition]\nt_end = inf\n", "partition.t_end: expected a finite number"),
+    "tolerance-nan": ("[run]\ntolerance = nan\n", "run.tolerance: expected a finite number"),
+    "mode-coefficient-nan": ("[model]\nkind = spectral\n[source]\nkind = zero\n"
+                             "[initial]\nkind = modes\nmodes = 1:nan\n",
+                             "initial.modes: expected a finite number"),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_RUN_CONFIGS))
+def test_bad_config_exits_2_without_traceback(tmp_path, capsys, name):
+    text, fragment = _BAD_RUN_CONFIGS[name]
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(text)
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert fragment in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset", [*experiment_preset_names(), *field_preset_names()])
+def test_echo_round_trips_through_a_config_file(tmp_path, preset):
+    config = (experiment_preset(preset) if preset in experiment_preset_names()
+              else field_preset(preset))
+    sections: dict[str, list[str]] = {}
+    for key, value in config.echo().items():
+        if key != "preset":
+            section, name = key.split(".")
+            sections.setdefault(section, []).append(f"{name} = {value}")
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("".join(f"[{s}]\n" + "\n".join(lines) + "\n" for s, lines in sections.items()))
+    assert load_config(str(cfg)) == replace(config, preset="")
+
+
 # ------------------------------------------------------------------ factors
 
 
@@ -237,6 +297,25 @@ def test_factors_rejects_zero_mode(tmp_path, capsys):
     cfg.write_text("[factors]\nm_min = 0\nm_max = 4\n")
     assert main(["factors", "--config", str(cfg)]) == 2
     assert "zero mode" in capsys.readouterr().err
+
+
+def test_factors_empty_mode_range_is_named(tmp_path, capsys):
+    cfg = tmp_path / "factors.ini"
+    cfg.write_text("[factors]\nm_min = 3\nm_max = 2\n")
+    assert main(["factors", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "mode range" in err and "empty" in err
+    assert "zero mode" not in err
+
+
+@pytest.mark.parametrize("text", ["length = nan", "length = inf", "dts = nan 0.5", "dts = 0.5, -inf"])
+def test_factors_rejects_non_finite_floats(tmp_path, capsys, text):
+    cfg = tmp_path / "factors.ini"
+    cfg.write_text(f"[factors]\n{text}\n")
+    out = tmp_path / "factors.csv"
+    assert main(["factors", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_factors_default_grid_has_both_orderings(tmp_path):

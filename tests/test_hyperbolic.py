@@ -6,9 +6,10 @@ from pitkit.heat import SourceTerm
 from pitkit.hyperbolic import (
     AdvectionModel,
     WaveModel,
+    advection_propagate,
     advection_step,
-    propagate,
     wave_energy,
+    wave_propagate,
     wave_step,
 )
 
@@ -65,7 +66,7 @@ def test_periodic_sweep_over_full_period_returns_near_initial():
     spec = PropagatorSpec(model, "fine", steps_per_slice=32)
     rng = np.random.default_rng(9)
     state = StateVector(model.layout(), rng.normal(size=32))
-    swept = propagate(model, spec, state, 0.0, 1.0)
+    swept = advection_propagate(model, spec, state, 0.0, 1.0)
     assert np.max(np.abs(swept.values - state.values)) < 1e-12
 
 
@@ -144,7 +145,7 @@ def test_wave_matches_separated_solution():
     model = WaveModel(128)
     state = _standing_mode(model)
     spec = PropagatorSpec(model, "fine", steps_per_slice=512)
-    out = propagate(model, spec, state, 0.0, 0.5)
+    out = wave_propagate(model, spec, state, 0.0, 0.5)
     u, v = model.split(out)
     want_u = np.sin(np.pi * model.grid_x) * np.cos(np.pi * 0.5)
     # second-order scheme; tolerance reflects dt^2 and dx^2 errors
@@ -159,7 +160,7 @@ def test_propagate_single_coarse_step_is_one_upwind_step():
     rng = np.random.default_rng(17)
     state = StateVector(model.layout(), rng.normal(size=256))
     spec = PropagatorSpec(model, "coarse", steps_per_slice=1)
-    via_propagate = propagate(model, spec, state, 0.0, model.dx)
+    via_propagate = advection_propagate(model, spec, state, 0.0, model.dx)
     direct = advection_step(model, state, 0.0, model.dx)
     assert np.array_equal(via_propagate.values, direct.values)
 
@@ -169,8 +170,9 @@ def test_propagate_composes_across_slices():
     spec = PropagatorSpec(model, "fine", steps_per_slice=16)
     rng = np.random.default_rng(23)
     state = StateVector(model.layout(), rng.normal(size=64))
-    two_slices = propagate(model, spec, propagate(model, spec, state, 0.0, 0.25), 0.25, 0.5)
-    whole = propagate(model, PropagatorSpec(model, "fine", steps_per_slice=32), state, 0.0, 0.5)
+    half = advection_propagate(model, spec, state, 0.0, 0.25)
+    two_slices = advection_propagate(model, spec, half, 0.25, 0.5)
+    whole = advection_propagate(model, PropagatorSpec(model, "fine", steps_per_slice=32), state, 0.0, 0.5)
     assert np.max(np.abs(two_slices.values - whole.values)) < 1e-12
 
 
@@ -178,4 +180,4 @@ def test_propagate_validates_steps():
     model = WaveModel(16)
     state = model.state_from(np.zeros(15), np.zeros(15))
     with pytest.raises(ConfigError):
-        propagate(model, PropagatorSpec(model, "fine", steps_per_slice=0), state, 0.0, 1.0)
+        wave_propagate(model, PropagatorSpec(model, "fine", steps_per_slice=0), state, 0.0, 1.0)

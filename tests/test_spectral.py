@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from pitkit.core import ConfigError, GridLayout, ModeLayout, PropagatorSpec, StateVector, discrete_l2_norm
+from pitkit import spectral
 from pitkit.heat import HeatModel
 from pitkit.spectral import (
     ModeSource,
     SpectralModel,
     exact_mode_solution,
-    parseval_norm,
     project_to_modes,
     reconstruct,
     source_mode_integral,
@@ -197,12 +197,31 @@ def test_parseval_linking_mode_and_grid_norms():
     values = sum(c * np.sin((m + 1) * np.pi * x) for m, c in enumerate(coeffs))
     state = StateVector(grid, values)
     modes = project_to_modes(state, 5)
-    assert parseval_norm(modes) == pytest.approx(discrete_l2_norm(state), abs=1e-10)
+    assert discrete_l2_norm(modes) == pytest.approx(discrete_l2_norm(state), abs=1e-10)
 
 
 def test_parseval_norm_frozen_values():
-    assert parseval_norm(StateVector(ModeLayout(3, "sine", math.pi), np.zeros(3))) == 0.0
+    assert discrete_l2_norm(StateVector(ModeLayout(3, "sine", math.pi), np.zeros(3))) == 0.0
     one = StateVector(ModeLayout(1, "sine", math.pi), [1.0])
-    assert parseval_norm(one) == pytest.approx(1.2533141373155003, rel=1e-15)
+    assert discrete_l2_norm(one) == pytest.approx(1.2533141373155003, rel=1e-15)
     two = StateVector(ModeLayout(2, "sine", math.pi), [1.0, 1.0])
-    assert parseval_norm(two) == pytest.approx(1.7724538509055159, rel=1e-15)
+    assert discrete_l2_norm(two) == pytest.approx(1.7724538509055159, rel=1e-15)
+
+
+def test_mode_decay_rate_is_exactly_m_squared_at_length_pi(monkeypatch):
+    """spectral_propagate and the trace bound share SpectralModel.decay_rate;
+    at length pi it is the integer m**2, also for modes such as 11 where
+    (m*pi)/pi would round away from it."""
+    rates = {}
+
+    def recording_integral(rate, source_fn, t_from, t_to):
+        rates[len(rates) + 1] = rate
+        return 0.0
+
+    monkeypatch.setattr(spectral, "source_mode_integral", recording_integral)
+    model = SpectralModel(math.pi, "sine", ModeSource.constant({m: 1.0 for m in range(1, 65)}))
+    spec = PropagatorSpec(model, "fine", mode_count=64)
+    spectral_propagate(model, spec, model.zero_state(64), 0.0, 0.5)
+    assert rates[11] == 121.0
+    assert all(rates[m] == float(m * m) for m in range(1, 65))
+    assert model.decay_rate(11) == 121.0

@@ -48,15 +48,15 @@ def _header_lines(pairs: dict[str, str]) -> list[str]:
 
 def render_trace(trace: IterationTrace, config: ExperimentConfig) -> str:
     pairs = config.echo()
-    pairs["trace.norm"] = str(trace.metadata.get("norm", ""))
-    pairs["trace.initial_guess"] = str(trace.metadata.get("initial_guess", ""))
+    pairs["trace.norm"] = "discrete_l2"
+    pairs["trace.initial_guess"] = trace.initial_guess
     lines = [TRACE_HEADER]
     lines.extend(_header_lines(pairs))
     lines.append("k,n,error_l2,bound,wall_time_ms")
-    for entry in trace.entries:
-        bound = "" if entry.bound is None else _fmt(entry.bound)
-        wall = _fmt(entry.wall_time_ms) if config.timings else _fmt(0.0)
-        lines.append(f"{entry.k},{entry.n},{_fmt(entry.error_l2)},{bound},{wall}")
+    for k, row in enumerate(trace.errors.tolist()):
+        bound = "" if trace.bounds[k] is None else _fmt(trace.bounds[k])
+        wall = _fmt(trace.wall_time_ms[k] if config.timings else 0.0)
+        lines.extend(f"{k},{n},{_fmt(err)},{bound},{wall}" for n, err in enumerate(row))
     return "\n".join(lines) + "\n"
 
 

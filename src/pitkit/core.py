@@ -8,7 +8,7 @@ stay pure functions and sweeps can run concurrently without locks.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -177,8 +177,8 @@ class PropagatorSpec:
     """Which model advances a state across one slice, and at what resolution.
 
     Grid models use ``steps_per_slice`` inner steps; spectral models keep
-    ``mode_count`` modes (0 meaning "contributes nothing", which is only
-    meaningful for a coarse spec).
+    ``mode_count`` modes.  ``PararealConfig`` drops a coarse spec that
+    contributes nothing (role "none", or zero spectral modes).
     """
 
     model: object
@@ -234,39 +234,35 @@ def discrete_l2_norm(state: StateVector) -> float:
 
 
 @dataclass(frozen=True)
-class TraceEntry:
-    k: int
-    n: int
-    error_l2: float
-    bound: float | None = None
-    wall_time_ms: float = 0.0
-
-
-@dataclass(frozen=True)
 class IterationTrace:
-    """Per-(iteration, slice) error record of one parareal run."""
+    """Error record of one parareal run: ``errors[k, n]`` (read-only) is the
+    discrete L2 error at slice boundary n after k sweeps, ``bounds[k]`` the
+    analytic sup-error bound of sweep k (None where the model has none) and
+    ``wall_time_ms[k]`` the sweep's wall time."""
 
-    entries: tuple[TraceEntry, ...]
-    metadata: dict = field(default_factory=dict)
+    errors: np.ndarray
+    bounds: tuple[float | None, ...]
+    wall_time_ms: tuple[float, ...]
+    initial_guess: str
+
+    def __post_init__(self):
+        errors = np.array(self.errors, dtype=float)
+        if errors.ndim != 2 or not len(errors) == len(self.bounds) == len(self.wall_time_ms):
+            raise ValueError(f"need one bound and one wall time per row of {errors.shape} errors")
+        errors.flags.writeable = False
+        object.__setattr__(self, "errors", errors)
 
     def iterations(self) -> list[int]:
-        seen: list[int] = []
-        for e in self.entries:
-            if e.k not in seen:
-                seen.append(e.k)
-        return seen
+        return list(range(len(self.errors)))
 
     def errors_at(self, k: int) -> np.ndarray:
-        errs = [e.error_l2 for e in self.entries if e.k == k]
-        if not errs:
+        if not 0 <= k < len(self.errors):
             raise KeyError(f"iteration {k} not recorded")
-        return np.array(errs)
+        return self.errors[k]
 
     def bound_at(self, k: int) -> float | None:
-        for e in self.entries:
-            if e.k == k:
-                return e.bound
-        raise KeyError(f"iteration {k} not recorded")
+        self.errors_at(k)  # KeyError for an unrecorded k
+        return self.bounds[k]
 
 
 def sup_error(trace: IterationTrace, k: int) -> float:

@@ -32,7 +32,6 @@ from .core import (
     PropagatorSpec,
     StateVector,
     TimePartition,
-    TraceEntry,
     discrete_l2_norm,
     propagate_slice,
     zeros_like,
@@ -45,6 +44,10 @@ GUESS_KINDS = ("default", "zero", "replicate_u0", "coarse_sweep", "random")
 
 @dataclass(frozen=True)
 class PararealConfig:
+    """One parareal run.  ``coarse`` is None when there is no coarse
+    propagator; a spec that contributes nothing (role 'none', or a spectral
+    propagator keeping zero modes) is stored as None."""
+
     partition: TimePartition
     u0: StateVector
     fine: PropagatorSpec
@@ -60,19 +63,22 @@ class PararealConfig:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.fine.role != "fine":
             raise ConfigError(f"fine propagator has role {self.fine.role!r}")
-        if self.coarse is not None and self.coarse.role not in ("coarse", "none"):
-            raise ConfigError(f"coarse propagator has role {self.coarse.role!r}")
+        coarse = self.coarse
+        if coarse is not None and coarse.role not in ("coarse", "none"):
+            raise ConfigError(f"coarse propagator has role {coarse.role!r}")
+        if coarse is not None and (coarse.role == "none" or (
+                isinstance(coarse.model, SpectralModel) and coarse.mode_count == 0)):
+            coarse = None
+            object.__setattr__(self, "coarse", None)
         if self.initial_guess not in GUESS_KINDS:
             raise ConfigError(
                 f"unknown initial_guess {self.initial_guess!r}, expected one of {GUESS_KINDS}"
             )
         if self.tolerance < 0.0:
             raise ConfigError(f"tolerance must be >= 0, got {self.tolerance}")
-        if self.initial_guess == "coarse_sweep" and self.effective_coarse is None:
+        if self.initial_guess == "coarse_sweep" and coarse is None:
             raise ConfigError("initial_guess 'coarse_sweep' requires a coarse propagator")
-        fine_model = self.fine.model
-        coarse = self.effective_coarse
-        if coarse is not None and isinstance(fine_model, SpectralModel):
+        if coarse is not None and isinstance(self.fine.model, SpectralModel):
             if coarse.mode_count >= self.fine.mode_count:
                 raise ConfigError(
                     "coarse propagator must resolve fewer modes than the fine one, "
@@ -80,29 +86,10 @@ class PararealConfig:
                 )
 
     @property
-    def effective_coarse(self) -> Optional[PropagatorSpec]:
-        """The coarse spec, or None when the configured one contributes nothing
-        (role 'none', or a spectral propagator keeping zero modes)."""
-        c = self.coarse
-        if c is None or c.role != "coarse":
-            return None
-        if isinstance(c.model, SpectralModel) and c.mode_count == 0:
-            return None
-        return c
-
-    @property
     def resolved_guess(self) -> str:
         if self.initial_guess != "default":
             return self.initial_guess
-        return "coarse_sweep" if self.effective_coarse is not None else "replicate_u0"
-
-
-@dataclass(frozen=True)
-class PararealState:
-    """Boundary values U^k_0..U^k_N for one iteration."""
-
-    values: tuple[StateVector, ...]
-    k: int = 0
+        return "coarse_sweep" if self.coarse is not None else "replicate_u0"
 
 
 def _propagate(config: PararealConfig, spec: PropagatorSpec, state: StateVector,
@@ -120,7 +107,8 @@ def reference_fine_sequential(config: PararealConfig) -> tuple[StateVector, ...]
     return tuple(values)
 
 
-def initialize_guess(config: PararealConfig) -> PararealState:
+def initialize_guess(config: PararealConfig) -> tuple[StateVector, ...]:
+    """Boundary values U^0_0..U^0_N of the resolved initial guess."""
     n_slices = config.partition.n_slices
     kind = config.resolved_guess
     if kind == "zero":
@@ -130,23 +118,21 @@ def initialize_guess(config: PararealConfig) -> PararealState:
     elif kind == "coarse_sweep":
         values = [config.u0]
         for n in range(n_slices):
-            values.append(_propagate(config, config.effective_coarse, values[n], n))
-    elif kind == "random":
+            values.append(_propagate(config, config.coarse, values[n], n))
+    else:  # random
         rng = np.random.default_rng(config.seed)
         values = [config.u0]
         for _ in range(n_slices):
             values.append(config.u0.with_values(rng.standard_normal(config.u0.layout.size)))
-    else:
-        raise ConfigError(f"unknown initial_guess {kind!r}")
-    return PararealState(tuple(values), k=0)
+    return tuple(values)
 
 
-def parareal_iterate(state: PararealState, config: PararealConfig,
-                     executor: Optional[ThreadPoolExecutor] = None) -> PararealState:
-    """One sweep: parallel fine solves from the old values, then the serial
-    coarse correction (or a plain copy-forward without a coarse propagator)."""
+def parareal_iterate(old: tuple[StateVector, ...], config: PararealConfig,
+                     executor: Optional[ThreadPoolExecutor] = None) -> tuple[StateVector, ...]:
+    """One sweep from boundary values U^k to U^{k+1}: parallel fine solves
+    from the old values, then the serial coarse correction (or a plain
+    copy-forward without a coarse propagator)."""
     n_slices = config.partition.n_slices
-    old = state.values
 
     def fine(n: int) -> StateVector:
         return _propagate(config, config.fine, old[n], n)
@@ -157,7 +143,7 @@ def parareal_iterate(state: PararealState, config: PararealConfig,
         fine_values = list(executor.map(fine, range(n_slices)))
 
     new = [config.u0]
-    coarse = config.effective_coarse
+    coarse = config.coarse
     if coarse is None:
         new.extend(fine_values)
     else:
@@ -165,7 +151,7 @@ def parareal_iterate(state: PararealState, config: PararealConfig,
             g_new = _propagate(config, coarse, new[n], n)
             g_old = _propagate(config, coarse, old[n], n)
             new.append(fine_values[n] + (g_new - g_old))
-    return PararealState(tuple(new), k=state.k + 1)
+    return tuple(new)
 
 
 def run(config: PararealConfig, *, fine_parallel: bool = True,
@@ -173,65 +159,47 @@ def run(config: PararealConfig, *, fine_parallel: bool = True,
         ) -> IterationTrace:
     """Run the iteration against the sequential fine reference.
 
-    Returns a trace with one entry per (iteration, slice boundary) holding the
-    error in the discrete L2 norm of the fine model.  For spectral models the
-    entries also carry the analytic bound exp(-rate*k*dT) * sup-error(0),
-    where rate is the decay of the slowest mode the coarse propagator does
-    not resolve.  Stops early once the sup error over boundaries falls below
-    config.tolerance.
+    Returns a trace whose ``errors[k, n]`` is the error at slice boundary n
+    after k sweeps, in the discrete L2 norm of the fine model.  For spectral
+    models the trace also carries the analytic bound exp(-rate*k*dT) *
+    sup-error(0) per sweep, where rate is the decay of the slowest mode the
+    coarse propagator does not resolve.  Stops early once the sup error over
+    boundaries falls below config.tolerance.
     """
     reference = reference_fine_sequential(config)
-    state = initialize_guess(config)
+    values = initialize_guess(config)
+    errors: list[np.ndarray] = []
+    wall_time_ms: list[float] = []
 
-    fine_model = config.fine.model
-    bound_rate = None
-    if isinstance(fine_model, SpectralModel):
-        coarse = config.effective_coarse
-        covered = coarse.mode_count if coarse is not None else 0
-        bound_rate = fine_model.slowest_uncovered_rate(covered)
+    def record(k: int, values: tuple[StateVector, ...], start: float) -> None:
+        wall_time_ms.append((time.perf_counter() - start) * 1e3)
+        row = np.array([discrete_l2_norm(v - r) for v, r in zip(values, reference)])
+        if not np.isfinite(row.max()):
+            raise NumericalError(f"iteration {k} produced a non-finite error {row.max()}")
+        errors.append(row)
 
-    entries: list[TraceEntry] = []
-    sups: list[float] = []
-    delta_t = config.partition.delta_t
-
-    def record(k: int, values: tuple[StateVector, ...], wall_ms: float) -> None:
-        errors = [discrete_l2_norm(v - r) for v, r in zip(values, reference)]
-        sups.append(max(errors))
-        if not np.isfinite(sups[-1]):
-            raise NumericalError(f"iteration {k} produced a non-finite error {sups[-1]}")
-        bound = None
-        if bound_rate is not None:
-            bound = iteration_error_bound(k, delta_t, bound_rate, sups[0])
-        for n, err in enumerate(errors):
-            entries.append(TraceEntry(k, n, err, bound=bound, wall_time_ms=wall_ms))
-
-    start = time.perf_counter()
-    record(0, state.values, (time.perf_counter() - start) * 1e3)
+    record(0, values, time.perf_counter())
     executor = None
     try:
         if fine_parallel and config.partition.n_slices > 1:
             executor = ThreadPoolExecutor(max_workers=config.partition.n_slices)
-        for _ in range(config.max_iterations):
-            if config.tolerance > 0.0 and sups[-1] <= config.tolerance:
+        for k in range(1, config.max_iterations + 1):
+            if config.tolerance > 0.0 and errors[-1].max() <= config.tolerance:
                 break
             start = time.perf_counter()
-            state = parareal_iterate(state, config, executor)
-            record(state.k, state.values, (time.perf_counter() - start) * 1e3)
+            values = parareal_iterate(values, config, executor)
+            record(k, values, start)
             if on_iteration is not None:
-                on_iteration(state.k, state.values)
+                on_iteration(k, values)
     finally:
         if executor is not None:
             executor.shutdown(wait=False)
 
-    metadata = {
-        "n_slices": config.partition.n_slices,
-        "delta_t": delta_t,
-        "t_start": config.partition.t_start,
-        "t_end": config.partition.t_end,
-        "model": type(fine_model).__name__,
-        "coarse": "none" if config.effective_coarse is None else "yes",
-        "initial_guess": config.resolved_guess,
-        "tolerance": config.tolerance,
-        "norm": "discrete_l2",
-    }
-    return IterationTrace(tuple(entries), metadata)
+    bounds = [None] * len(errors)
+    if isinstance(config.fine.model, SpectralModel):
+        covered = 0 if config.coarse is None else config.coarse.mode_count
+        rate = config.fine.model.slowest_uncovered_rate(covered)
+        sup0 = float(errors[0].max())
+        bounds = [iteration_error_bound(k, config.partition.delta_t, rate, sup0)
+                  for k in range(len(errors))]
+    return IterationTrace(errors, tuple(bounds), tuple(wall_time_ms), config.resolved_guess)

@@ -197,6 +197,8 @@ def _build_source(config: ExperimentConfig):
         return ModeSource.constant(config.source_modes)
     if config.source_kind == "zero":
         return SourceTerm.zero()
+    if config.model_kind == "wave":
+        raise ConfigError(f"source.kind: the wave model is unforced, got {config.source_kind!r}")
     if config.source_kind == "pulsed":
         return SourceTerm.pulsed()
     raise ConfigError(f"source.kind: {config.source_kind!r} needs a spectral model")
@@ -212,10 +214,17 @@ def build_model_and_u0(config: ExperimentConfig):
     if kind == "spectral":
         model = SpectralModel(config.length, config.basis, source)
         if initial == "zero":
-            return model, model.zero_state(config.fine_modes)
-        if initial == "modes":
-            return model, model.state_from_modes(dict(config.initial_modes), config.fine_modes)
-        raise ConfigError(f"initial.kind: {initial!r} needs a grid model")
+            u0 = model.zero_state(config.fine_modes)
+        elif initial == "modes":
+            u0 = model.state_from_modes(dict(config.initial_modes), config.fine_modes)
+        else:
+            raise ConfigError(f"initial.kind: {initial!r} needs a grid model")
+        # after u0, so a bad fine.mode_count is not blamed on source.modes
+        try:
+            model.state_from_modes(dict(config.source_modes), config.fine_modes)
+        except ValueError as exc:
+            raise ConfigError(f"source.modes: {exc}") from exc
+        return model, u0
     if kind == "wave":
         model = WaveModel(config.n_cells)
         if initial not in ("zero", "modes"):

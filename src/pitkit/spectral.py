@@ -183,11 +183,7 @@ def exact_mode_solution(rate: float, u0: float, source_fn: Optional[Callable],
 
 def spectral_propagate(model: SpectralModel, spec: PropagatorSpec, state: StateVector,
                        t_from: float, t_to: float) -> StateVector:
-    """Advance the first spec.mode_count modes exactly; zero the rest.
-
-    mode_count == 0 returns the zero state, which is how a disabled coarse
-    propagator contributes nothing to the parareal correction.
-    """
+    """Advance the first spec.mode_count modes exactly; zero the rest."""
     layout = state.layout
     if not isinstance(layout, ModeLayout) or layout.basis != model.basis or layout.length != model.length:
         raise ValueError(f"state layout {layout} does not fit model {model}")
@@ -197,8 +193,6 @@ def spectral_propagate(model: SpectralModel, spec: PropagatorSpec, state: StateV
     if kept > layout.size:
         raise ConfigError(f"mode_count {kept} exceeds the state's {layout.size} modes")
     values = np.zeros(layout.size)
-    if kept == 0:
-        return StateVector(layout, values)
     span = t_to - t_from
     positions = np.arange(kept)
     modes = positions + 1 if model.basis == "sine" else positions

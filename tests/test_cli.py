@@ -236,6 +236,13 @@ _BAD_RUN_CONFIGS = {
     "spectral-mode-outside-layout": ("[model]\nkind = spectral\n[source]\nkind = zero\n"
                                      "[initial]\nkind = modes\nmodes = 100:1.0\n"
                                      "[fine]\nmode_count = 64\n", "mode 100"),
+    "wave-pulsed-source": ("[model]\nkind = wave\n[source]\nkind = pulsed\n"
+                           "[coarse]\nrole = none\n", "source.kind"),
+    "spectral-source-mode-past-layout": ("[model]\nkind = spectral\n[source]\nkind = pulsed\n"
+                                         "modes = 200:1.0\n[fine]\nmode_count = 64\n",
+                                         "source.modes: mode 200"),
+    "spectral-source-mode-zero": ("[model]\nkind = spectral\n[source]\nkind = pulsed\n"
+                                  "modes = 0:1.0\n", "source.modes: mode 0"),
     "negative-seed": ("[run]\ninitial_guess = random\nseed = -1\n", "run.seed"),
     "t_end-nan": ("[partition]\nt_end = nan\n", "partition.t_end: expected a finite number"),
     "t_end-inf": ("[partition]\nt_end = inf\n", "partition.t_end: expected a finite number"),

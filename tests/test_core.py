@@ -9,7 +9,6 @@ from pitkit.core import (
     ModeLayout,
     PropagatorSpec,
     StateVector,
-    TraceEntry,
     discrete_l2_norm,
     make_uniform_partition,
     propagate_slice,
@@ -111,13 +110,7 @@ def test_propagate_slice_rejects_unknown_model():
 
 
 def _trace():
-    entries = (
-        TraceEntry(0, 0, 0.0),
-        TraceEntry(0, 1, 2.0),
-        TraceEntry(1, 0, 0.0, bound=3.0),
-        TraceEntry(1, 1, 0.5, bound=3.0),
-    )
-    return IterationTrace(entries, {"norm": "discrete_l2"})
+    return IterationTrace([[0.0, 2.0], [0.0, 0.5]], (None, 3.0), (0.0, 0.0), "zero")
 
 
 def test_trace_lookup():

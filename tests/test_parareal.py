@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from pitkit.core import ConfigError, PropagatorSpec, StateVector, make_uniform_partition
+from pitkit.core import (
+    ConfigError,
+    GridLayout,
+    NumericalError,
+    PropagatorSpec,
+    StateVector,
+    make_uniform_partition,
+    propagate_slice,
+)
 from pitkit.heat import HeatModel, SourceTerm, implicit_system, sample_source
 from pitkit.parareal import (
     PararealConfig,
@@ -59,7 +67,7 @@ def test_slice_n_is_exact_after_n_iterations(guess):
     for k in range(1, config.partition.n_slices + 1):
         state = parareal_iterate(state, config)
         for n in range(k + 1):
-            assert np.array_equal(state.values[n].values, reference[n].values), (
+            assert np.array_equal(state[n].values, reference[n].values), (
                 f"slice {n} not exact at iteration {k}"
             )
 
@@ -70,7 +78,7 @@ def test_finite_termination_without_coarse():
     state = initialize_guess(config)
     for _ in range(config.partition.n_slices):
         state = parareal_iterate(state, config)
-    for n, (got, want) in enumerate(zip(state.values, reference)):
+    for n, (got, want) in enumerate(zip(state, reference)):
         assert np.array_equal(got.values, want.values), f"slice {n} differs"
 
 
@@ -78,7 +86,7 @@ def test_single_slice_converges_in_one_iteration():
     config = _heat_config(n_slices=1, coarse=False, max_iterations=1)
     reference = reference_fine_sequential(config)
     state = parareal_iterate(initialize_guess(config), config)
-    assert np.array_equal(state.values[1].values, reference[1].values)
+    assert np.array_equal(state[1].values, reference[1].values)
 
 
 # ----------------------------------------------- spectral error recurrence
@@ -109,7 +117,7 @@ def test_covered_modes_exact_from_first_iteration(m_coarse):
     reference = reference_fine_sequential(config)
     state = parareal_iterate(initialize_guess(config), config)
     for n in range(1, config.partition.n_slices + 1):
-        diff = state.values[n].values - reference[n].values
+        diff = state[n].values - reference[n].values
         assert np.array_equal(diff[:m_coarse], np.zeros(m_coarse)), (
             f"covered modes wrong at slice {n}"
         )
@@ -148,10 +156,10 @@ def test_trace_bound_column_matches_analytic_formula():
     trace = run(config)
     rate = config.fine.model.slowest_uncovered_rate(3)
     sup0 = max(trace.errors_at(0))
-    for entry in trace.entries:
-        want = math.exp(-rate * entry.k * config.partition.delta_t) * sup0
-        assert entry.bound == pytest.approx(want, rel=1e-14, abs=0.0)
-        assert entry.error_l2 <= entry.bound + 1e-12
+    for k in trace.iterations():
+        want = math.exp(-rate * k * config.partition.delta_t) * sup0
+        assert trace.bound_at(k) == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert max(trace.errors_at(k)) <= trace.bound_at(k) + 1e-12
 
 
 def test_spectral_reference_is_pure_decay_without_source():
@@ -192,7 +200,7 @@ def test_heat_iteration_matches_dense_linear_algebra():
 
     state = initialize_guess(config)
     for _ in range(2):
-        old = [v.values for v in state.values]
+        old = [v.values for v in state]
         state = parareal_iterate(state, config)
         new = [config.u0.values]
         for n in range(4):
@@ -202,7 +210,7 @@ def test_heat_iteration_matches_dense_linear_algebra():
             g_old = dense_sweep(old[n], t0, t1, 1)
             new.append(fine + g_new - g_old)
         for n in range(5):
-            assert np.max(np.abs(state.values[n].values - new[n])) < 1e-13
+            assert np.max(np.abs(state[n].values - new[n])) < 1e-13
 
 
 # ------------------------------------------------------------- determinism
@@ -232,11 +240,9 @@ def test_coarse_sweep_guess_is_sequential_coarse_run():
     config = _heat_config(guess="coarse_sweep")
     state = initialize_guess(config)
     t0, t1 = config.partition.slice_bounds(0)
-    from pitkit.core import propagate_slice
-
     want = propagate_slice(config.coarse.model, config.coarse, config.u0, t0, t1)
-    assert np.array_equal(state.values[1].values, want.values)
-    assert len(state.values) == config.partition.n_slices + 1
+    assert np.array_equal(state[1].values, want.values)
+    assert len(state) == config.partition.n_slices + 1
 
 
 def test_replicate_guess_copies_u0_everywhere():
@@ -244,15 +250,15 @@ def test_replicate_guess_copies_u0_everywhere():
     u0 = StateVector(model.layout(), np.linspace(0.0, 1.0, 17))
     config = _heat_config(guess="replicate_u0", u0=u0, fine=PropagatorSpec(model, "fine", steps_per_slice=4))
     state = initialize_guess(config)
-    for v in state.values:
+    for v in state:
         assert np.array_equal(v.values, u0.values)
 
 
 def test_zero_guess_keeps_initial_boundary():
     config = _spectral_config(guess="zero", coefficients={1: 2.0})
     state = initialize_guess(config)
-    assert np.array_equal(state.values[0].values, config.u0.values)
-    for v in state.values[1:]:
+    assert np.array_equal(state[0].values, config.u0.values)
+    for v in state[1:]:
         assert not v.values.any()
 
 
@@ -261,13 +267,22 @@ def test_random_guess_depends_on_seed():
     c2 = _heat_config(guess="random", seed=2)
     s1, s1b = initialize_guess(c1), initialize_guess(c1)
     s2 = initialize_guess(c2)
-    assert np.array_equal(s1.values[3].values, s1b.values[3].values)
-    assert not np.array_equal(s1.values[3].values, s2.values[3].values)
+    assert np.array_equal(s1[3].values, s1b[3].values)
+    assert not np.array_equal(s1[3].values, s2[3].values)
 
 
 def test_default_guess_follows_coarse_availability():
     assert _heat_config(guess="default", coarse=True).resolved_guess == "coarse_sweep"
     assert _heat_config(guess="default", coarse=False).resolved_guess == "replicate_u0"
+
+
+def test_coarse_that_contributes_nothing_is_stored_as_none():
+    heat = _heat_config(coarse=False)
+    spec = PropagatorSpec(heat.fine.model, "none", steps_per_slice=1)
+    assert dataclasses.replace(heat, coarse=spec).coarse is None
+    assert _spectral_config(m_coarse=0).coarse is None
+    assert _spectral_config(m_coarse=2).coarse.mode_count == 2
+    assert _heat_config(coarse=True).coarse.role == "coarse"
 
 
 # ------------------------------------------------------------- validation
@@ -301,6 +316,24 @@ def test_wrong_role_rejected():
             u0=model.zero_state(),
             fine=PropagatorSpec(model, "coarse", steps_per_slice=2),
         )
+
+
+class _NanAfterOne:
+    """Identity propagator that returns NaN for slices ending after t = 1."""
+
+
+propagate_slice.register(
+    _NanAfterOne,
+    lambda model, spec, state, t0, t1: state.scaled(math.nan if t1 > 1.0 else 1.0),
+)
+
+
+def test_non_finite_error_past_boundary_0_is_a_numerical_failure():
+    u0 = StateVector(GridLayout(2, 0.5, "dirichlet"), [1.0, 1.0])
+    config = PararealConfig(make_uniform_partition(2.0, 4), u0,
+                            PropagatorSpec(_NanAfterOne(), "fine"), tolerance=0.0)
+    with pytest.raises(NumericalError, match="iteration 0"):
+        run(config, fine_parallel=False)
 
 
 def test_early_stop_respects_tolerance():

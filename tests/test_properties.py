@@ -1,0 +1,184 @@
+"""Property tests: the invariants of the acceptance criteria, checked on
+random small configurations instead of the named presets.
+
+- slice n is bitwise exact after n sweeps (criterion 4), for every model,
+  with and without a coarse propagator, under every initial guess;
+- parallel and serial fine solves give equal error arrays (criterion 9);
+- the Neumann heat propagator conserves the trapezoidal mean with zero
+  source, the wave propagator conserves the discrete energy, and upwind
+  advection at CFL number 1 is an exact shift (criterion 10).
+
+Slice counts stay at 8 or below, so a run's fine-solve pool stays small.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pitkit.core import PropagatorSpec, StateVector, propagate_slice
+from pitkit.heat import HeatModel, SourceTerm, conserved_mean
+from pitkit.hyperbolic import AdvectionModel, WaveModel, advection_step, wave_energy
+from pitkit.parareal import run
+from pitkit.presets import ExperimentConfig, build_parareal
+
+PROPERTY = settings(max_examples=25, deadline=None)
+
+_GUESSES_WITH_COARSE = ("default", "zero", "replicate_u0", "coarse_sweep", "random")
+_GUESSES_WITHOUT_COARSE = ("default", "zero", "replicate_u0", "random")
+
+
+@st.composite
+def _run_shape(draw, coarse_allowed=True):
+    """Fields shared by every model: partition, coarse choice, guess, seed."""
+    n_slices = draw(st.integers(1, 8))
+    coarse = coarse_allowed and draw(st.booleans())
+    guesses = _GUESSES_WITH_COARSE if coarse else _GUESSES_WITHOUT_COARSE
+    return dict(
+        t_end=draw(st.floats(0.125, 2.0)),
+        n_slices=n_slices,
+        coarse_role="coarse" if coarse else "none",
+        initial_guess=draw(st.sampled_from(guesses)),
+        iterations=n_slices,
+        tolerance=0.0,
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@st.composite
+def heat_configs(draw):
+    return ExperimentConfig(
+        model_kind="heat",
+        bc=draw(st.sampled_from(["dirichlet", "neumann"])),
+        n_cells=draw(st.integers(2, 24)),
+        source_kind=draw(st.sampled_from(["zero", "pulsed"])),
+        initial_kind=draw(st.sampled_from(["zero", "gaussian_bump"])),
+        fine_steps=draw(st.integers(1, 6)),
+        coarse_steps=draw(st.integers(1, 2)),
+        **draw(_run_shape()),
+    )
+
+
+@st.composite
+def spectral_configs(draw):
+    fine_modes = draw(st.integers(2, 12))
+    basis = draw(st.sampled_from(["sine", "cosine"]))
+    first = 1 if basis == "sine" else 0
+    modes = st.lists(st.tuples(st.integers(first, fine_modes - 1 + first),
+                               st.floats(-2.0, 2.0)), max_size=4)
+    shape = draw(_run_shape())
+    return ExperimentConfig(
+        model_kind="spectral",
+        basis=basis,
+        source_kind=draw(st.sampled_from(["zero", "pulsed", "modes"])),
+        source_modes=tuple(draw(modes)),
+        initial_kind="modes",
+        initial_modes=tuple(draw(modes)),
+        fine_modes=fine_modes,
+        coarse_modes=draw(st.integers(1, fine_modes - 1)),
+        **shape,
+    )
+
+
+@st.composite
+def advection_configs(draw):
+    n_cells = draw(st.integers(2, 24))
+    shape = draw(_run_shape(coarse_allowed=False))
+    # enough upwind steps per slice to keep the CFL number at most 1
+    least = math.ceil(n_cells * shape["t_end"] / shape["n_slices"]) + 1
+    return ExperimentConfig(
+        model_kind="advection",
+        bc=draw(st.sampled_from(["periodic", "inflow"])),
+        n_cells=n_cells,
+        source_kind=draw(st.sampled_from(["zero", "pulsed"])),
+        initial_kind=draw(st.sampled_from(["zero", "gaussian_bump"])),
+        fine_steps=least + draw(st.integers(0, 3)),
+        **shape,
+    )
+
+
+@st.composite
+def wave_configs(draw):
+    return ExperimentConfig(
+        model_kind="wave",
+        n_cells=draw(st.integers(2, 24)),
+        source_kind="zero",
+        initial_kind="modes",
+        initial_modes=tuple(draw(st.lists(
+            st.tuples(st.integers(1, 4), st.floats(-2.0, 2.0)), max_size=3))),
+        fine_steps=draw(st.integers(1, 8)),
+        coarse_steps=1,
+        **draw(_run_shape()),
+    )
+
+
+any_config = st.one_of(heat_configs(), spectral_configs(), advection_configs(), wave_configs())
+
+
+@PROPERTY
+@given(any_config)
+def test_slice_n_is_exact_after_n_sweeps(config):
+    trace = run(build_parareal(config), fine_parallel=False)
+    assert trace.errors.shape == (config.n_slices + 1, config.n_slices + 1)
+    for k in trace.iterations():
+        assert not trace.errors[k, : k + 1].any(), f"a boundary <= {k} is off after {k} sweeps"
+    assert not trace.errors[-1].any()
+
+
+@PROPERTY
+@given(any_config)
+def test_parallel_and_serial_sweeps_give_equal_errors(config):
+    parareal = build_parareal(config)
+    parallel = run(parareal, fine_parallel=True)
+    serial = run(parareal, fine_parallel=False)
+    assert np.array_equal(parallel.errors, serial.errors)
+    assert parallel.bounds == serial.bounds
+
+
+def _random_values(seed: int, size: int) -> np.ndarray:
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, size)
+
+
+@PROPERTY
+@given(n_cells=st.integers(2, 64), steps=st.integers(1, 8),
+       t_from=st.floats(0.0, 2.0), span=st.floats(1e-3, 1.0), seed=st.integers(0, 2**16))
+def test_neumann_heat_conserves_the_mean_without_source(n_cells, steps, t_from, span, seed):
+    model = HeatModel(n_cells, "neumann", SourceTerm.zero())
+    spec = PropagatorSpec(model, "fine", steps_per_slice=steps)
+    state = StateVector(model.layout(), _random_values(seed, model.n_unknowns))
+    out = propagate_slice(model, spec, state, t_from, t_from + span)
+    # each solve may move the mean by roundoff in the scale of the system's entries
+    stiffness = 1.0 + 4.0 * (span / steps) / model.dx**2
+    tolerance = 8 * steps * stiffness * np.finfo(float).eps
+    assert abs(conserved_mean(model, out) - conserved_mean(model, state)) <= tolerance
+
+
+@PROPERTY
+@given(n_cells=st.integers(2, 64), steps=st.integers(1, 16),
+       t_from=st.floats(0.0, 2.0), span=st.floats(1e-3, 1.0), seed=st.integers(0, 2**16))
+def test_wave_propagator_conserves_energy(n_cells, steps, t_from, span, seed):
+    model = WaveModel(n_cells)
+    spec = PropagatorSpec(model, "fine", steps_per_slice=steps)
+    state = StateVector(model.layout(), _random_values(seed, model.layout().size))
+    out = propagate_slice(model, spec, state, t_from, t_from + span)
+    assert wave_energy(model, out) == pytest.approx(wave_energy(model, state), rel=1e-11)
+
+
+@PROPERTY
+@given(n_cells=st.integers(2, 64), speed=st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]),
+       bc=st.sampled_from(["periodic", "inflow"]), shift=st.integers(1, 70),
+       seed=st.integers(0, 2**16))
+def test_advection_at_unit_cfl_is_an_exact_shift(n_cells, speed, bc, shift, seed):
+    model = AdvectionModel(speed, n_cells, bc, SourceTerm.zero())
+    u = _random_values(seed, n_cells)
+    state = StateVector(model.layout(), u)
+    for i in range(shift):
+        state = advection_step(model, state, i * model.dx, model.dx / speed)
+    if bc == "periodic":
+        want = np.roll(u, shift)
+    else:
+        want = np.concatenate((np.zeros(min(shift, n_cells)), u[: max(n_cells - shift, 0)]))
+    assert np.array_equal(state.values, want)
+

@@ -9,6 +9,7 @@ so the inner loop has no dependencies beyond numpy arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -158,9 +159,10 @@ class TridiagonalSystem:
     sup: np.ndarray
 
     def __post_init__(self):
-        sub = np.asarray(self.sub, dtype=float)
-        diag = np.asarray(self.diag, dtype=float)
-        sup = np.asarray(self.sup, dtype=float)
+        # read-only copies: a system may be shared through a factor cache
+        sub = np.array(self.sub, dtype=float)
+        diag = np.array(self.diag, dtype=float)
+        sup = np.array(self.sup, dtype=float)
         n = diag.shape[0]
         if n < 1:
             raise ValueError("empty system")
@@ -169,9 +171,9 @@ class TridiagonalSystem:
                 f"band sizes must be ({n - 1},), ({n},), ({n - 1},); "
                 f"got {sub.shape}, {diag.shape}, {sup.shape}"
             )
-        object.__setattr__(self, "sub", sub)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "sup", sup)
+        for name, band in (("sub", sub), ("diag", diag), ("sup", sup)):
+            band.flags.writeable = False
+            object.__setattr__(self, name, band)
 
     @property
     def n(self) -> int:
@@ -205,10 +207,11 @@ class _ThomasFactor:
             pivot[i] = diag[i] - lower[i - 1] * sup[i - 1]
             if pivot[i] == 0.0:
                 raise SingularSystemError(f"zero pivot in row {i}")
+        # tuples, so a factor shared through a cache cannot be changed
         self.n = n
-        self.lower = lower
-        self.pivot = pivot
-        self.sup = sup
+        self.lower = tuple(lower)
+        self.pivot = tuple(pivot)
+        self.sup = tuple(sup)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         n = self.n
@@ -252,19 +255,43 @@ def backward_euler_step(model: HeatModel, state: StateVector, t: float, dt: floa
     """One step of (I - dt*L) u_new = u + dt*f(., t + dt).
 
     The source is sampled at the step end, which is the consistent choice
-    for the implicit scheme.
+    for the implicit scheme.  Builds its own factor and source profile, so
+    it is the reference the cached ``propagate`` path is checked against.
     """
     check_layout(model, state)
     factor = _ThomasFactor(implicit_system(model, dt))
-    return _step(model, factor, state, t, dt)
+    return StateVector(state.layout,
+                       _step(factor, model.source, _source_profile(model), state.values, t, dt))
 
 
-def _step(model: HeatModel, factor: _ThomasFactor, state: StateVector,
-          t: float, dt: float) -> StateVector:
-    rhs = state.values
-    if not model.source.is_zero:
-        rhs = rhs + dt * sample_source(model.source, model.grid_x, t + dt)
-    return StateVector(state.layout, factor.solve(rhs))
+def _step(factor: _ThomasFactor, source: SourceTerm, profile, u: np.ndarray,
+          t: float, dt: float) -> np.ndarray:
+    """One Backward Euler step on a raw value array; ``profile`` is the
+    source's space profile on the grid, None for a zero source."""
+    if profile is not None:
+        u = u + dt * (profile * source.time_profile(t + dt))
+    return factor.solve(u)
+
+
+@functools.lru_cache(maxsize=64)
+def _implicit_factor(model: HeatModel, dt: float) -> _ThomasFactor:
+    """Thomas factor of I - dt*L, shared by every propagation of the model
+    with substep dt."""
+    return _ThomasFactor(implicit_system(model, dt))
+
+
+def _source_profile(model) -> np.ndarray | None:
+    """Read-only space profile of a grid model's source on its grid, None
+    for a zero source."""
+    if model.source.is_zero:
+        return None
+    profile = model.source.space_profile(model.grid_x)
+    profile.flags.writeable = False
+    return profile
+
+
+# sampled once per model
+_cached_source_profile = functools.lru_cache(maxsize=64)(_source_profile)
 
 
 def check_layout(model, state: StateVector):
@@ -298,11 +325,13 @@ def propagate(model: HeatModel, spec: PropagatorSpec, state: StateVector,
     dt = substep_length(model, spec, state, t_from, t_to)
     steps = spec.steps_per_slice
     span = t_to - t_from
-    factor = _ThomasFactor(implicit_system(model, dt))
+    factor = _implicit_factor(model, dt)
+    profile = _cached_source_profile(model)
+    u = state.values
     for i in range(steps):
         t_i = t_from + (i * span) / steps
-        state = _step(model, factor, state, t_i, dt)
-    return state
+        u = _step(factor, model.source, profile, u, t_i, dt)
+    return StateVector(state.layout, u)
 
 
 propagate_slice.register(HeatModel, propagate)

@@ -8,6 +8,7 @@ behavior the experiment presets demonstrate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +23,10 @@ from .core import (
 from .heat import (
     SourceTerm,
     TridiagonalSystem,
+    _cached_source_profile,
+    _source_profile,
     _ThomasFactor,
     check_layout,
-    sample_source,
     substep_length,
 )
 
@@ -72,22 +74,34 @@ def advection_step(model: AdvectionModel, state: StateVector, t: float, dt: floa
     """One upwind step u_j <- u_j - nu*(u_j - u_{j-1}) + dt*f(x_j, t).
 
     nu = speed*dt/dx must not exceed 1; at nu = 1 the step is an exact
-    shift by one cell.
+    shift by one cell.  Samples its own source profile, so it is the
+    reference the hoisted ``advection_propagate`` path is checked against.
     """
     check_layout(model, state)
+    return StateVector(state.layout, _upwind(model, _cfl_number(model, dt),
+                                             _source_profile(model), state.values, t, dt))
+
+
+def _cfl_number(model: AdvectionModel, dt: float) -> float:
     nu = model.speed * dt / model.dx
     if nu > 1.0 + 1e-12:
         raise ConfigError(f"CFL number {nu:.6g} exceeds 1; shrink dt or the speed")
-    u = state.values
+    return nu
+
+
+def _upwind(model: AdvectionModel, nu: float, profile, u: np.ndarray,
+            t: float, dt: float) -> np.ndarray:
+    """One upwind step on a raw value array; ``profile`` is the source's
+    space profile on the grid, None for a zero source."""
     if model.bc == "periodic":
         upstream = np.roll(u, 1)
     else:
         upstream = np.concatenate(([0.0], u[:-1]))
     # convex form so nu = 1 reduces to upstream exactly, with no rounding
     new = (1.0 - nu) * u + nu * upstream
-    if not model.source.is_zero:
-        new = new + dt * sample_source(model.source, model.grid_x, t)
-    return StateVector(state.layout, new)
+    if profile is not None:
+        new = new + dt * (profile * model.source.time_profile(t))
+    return new
 
 
 @dataclass(frozen=True)
@@ -150,48 +164,60 @@ def _wave_factor(model: WaveModel, dt: float) -> tuple[TridiagonalSystem, _Thoma
     return lap, _ThomasFactor(implicit)
 
 
+# the Laplacian and the factor of I - dt^2/4 L, shared by every propagation
+# of the model with substep dt
+_cached_wave_factor = functools.lru_cache(maxsize=64)(_wave_factor)
+
+
 def wave_step(model: WaveModel, state: StateVector, t: float, dt: float) -> StateVector:
     """One trapezoidal step of the first-order system.
 
     For this linear system the trapezoidal rule coincides with the implicit
     midpoint rule, so the quadratic energy above is conserved to roundoff
-    and stepping dt then -dt returns the initial state.
+    and stepping dt then -dt returns the initial state.  Builds its own
+    factor, so it is the reference ``wave_propagate`` is checked against.
     """
     check_layout(model, state)
     lap, factor = _wave_factor(model, dt)
-    return _wave_substep(model, lap, factor, state, dt)
+    return StateVector(state.layout, _wave_substep(lap, factor, state.values, dt))
 
 
-def _wave_substep(model: WaveModel, lap: TridiagonalSystem, factor: _ThomasFactor,
-                  state: StateVector, dt: float) -> StateVector:
-    u, v = model.split(state)
+def _wave_substep(lap: TridiagonalSystem, factor: _ThomasFactor, w: np.ndarray,
+                  dt: float) -> np.ndarray:
+    """One trapezoidal step on a raw (u, v) value array."""
+    n = lap.n
+    u, v = w[:n], w[n:]
     p = u + 0.5 * dt * v
     q = v + 0.5 * dt * lap.matvec(u)
     v_new = factor.solve(q + 0.5 * dt * lap.matvec(p))
     u_new = p + 0.5 * dt * v_new
-    return model.state_from(u_new, v_new)
+    return np.concatenate([u_new, v_new])
 
 
 def advection_propagate(model: AdvectionModel, spec: PropagatorSpec, state: StateVector,
                         t_from: float, t_to: float) -> StateVector:
     """Advance across one slice with spec.steps_per_slice upwind steps."""
     dt = substep_length(model, spec, state, t_from, t_to)
+    nu = _cfl_number(model, dt)
+    profile = _cached_source_profile(model)
     steps = spec.steps_per_slice
     span = t_to - t_from
+    u = state.values
     for i in range(steps):
         t_i = t_from + (i * span) / steps
-        state = advection_step(model, state, t_i, dt)
-    return state
+        u = _upwind(model, nu, profile, u, t_i, dt)
+    return StateVector(state.layout, u)
 
 
 def wave_propagate(model: WaveModel, spec: PropagatorSpec, state: StateVector,
                    t_from: float, t_to: float) -> StateVector:
     """Advance across one slice with spec.steps_per_slice trapezoidal steps."""
     dt = substep_length(model, spec, state, t_from, t_to)
-    lap, factor = _wave_factor(model, dt)
+    lap, factor = _cached_wave_factor(model, dt)
+    w = state.values
     for _ in range(spec.steps_per_slice):
-        state = _wave_substep(model, lap, factor, state, dt)
-    return state
+        w = _wave_substep(lap, factor, w, dt)
+    return StateVector(state.layout, w)
 
 
 propagate_slice.register(AdvectionModel, advection_propagate)

@@ -18,6 +18,7 @@ within roundoff.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -128,10 +129,19 @@ def initialize_guess(config: PararealConfig) -> tuple[StateVector, ...]:
 
 
 def parareal_iterate(old: tuple[StateVector, ...], config: PararealConfig,
-                     executor: Optional[ThreadPoolExecutor] = None) -> tuple[StateVector, ...]:
+                     executor: Optional[ThreadPoolExecutor] = None,
+                     g_old: Optional[tuple[StateVector, ...]] = None,
+                     ) -> tuple[tuple[StateVector, ...], Optional[tuple[StateVector, ...]]]:
     """One sweep from boundary values U^k to U^{k+1}: parallel fine solves
     from the old values, then the serial coarse correction (or a plain
-    copy-forward without a coarse propagator)."""
+    copy-forward without a coarse propagator).
+
+    Returns U^{k+1} and the coarse values G(U^{k+1}_n) of slices 0..N-1,
+    which the next sweep takes as ``g_old``; the coarse values are None
+    without a coarse propagator.  ``g_old`` holds G(U^k_n); when it is None
+    the sweep computes it.  The propagators are deterministic, so carried
+    and recomputed coarse values are bitwise equal.
+    """
     n_slices = config.partition.n_slices
 
     def fine(n: int) -> StateVector:
@@ -146,12 +156,14 @@ def parareal_iterate(old: tuple[StateVector, ...], config: PararealConfig,
     coarse = config.coarse
     if coarse is None:
         new.extend(fine_values)
-    else:
-        for n in range(n_slices):
-            g_new = _propagate(config, coarse, new[n], n)
-            g_old = _propagate(config, coarse, old[n], n)
-            new.append(fine_values[n] + (g_new - g_old))
-    return tuple(new)
+        return tuple(new), None
+    if g_old is None:
+        g_old = tuple(_propagate(config, coarse, old[n], n) for n in range(n_slices))
+    g_new = []
+    for n in range(n_slices):
+        g_new.append(_propagate(config, coarse, new[n], n))
+        new.append(fine_values[n] + (g_new[n] - g_old[n]))
+    return tuple(new), tuple(g_new)
 
 
 def run(config: PararealConfig, *, fine_parallel: bool = True,
@@ -167,7 +179,6 @@ def run(config: PararealConfig, *, fine_parallel: bool = True,
     boundaries falls below config.tolerance.
     """
     reference = reference_fine_sequential(config)
-    values = initialize_guess(config)
     errors: list[np.ndarray] = []
     wall_time_ms: list[float] = []
 
@@ -178,16 +189,23 @@ def run(config: PararealConfig, *, fine_parallel: bool = True,
             raise NumericalError(f"iteration {k} produced a non-finite error {row.max()}")
         errors.append(row)
 
-    record(0, values, time.perf_counter())
+    start = time.perf_counter()
+    values = initialize_guess(config)
+    record(0, values, start)
+    # the coarse sweep guess is U^0_{n+1} = G(U^0_n), so it already holds
+    # the coarse values the first sweep needs
+    g_values = values[1:] if config.resolved_guess == "coarse_sweep" else None
     executor = None
     try:
         if fine_parallel and config.partition.n_slices > 1:
-            executor = ThreadPoolExecutor(max_workers=config.partition.n_slices)
+            # at most one worker per CPU, whatever the slice count
+            executor = ThreadPoolExecutor(
+                max_workers=min(config.partition.n_slices, os.cpu_count() or 1))
         for k in range(1, config.max_iterations + 1):
             if config.tolerance > 0.0 and errors[-1].max() <= config.tolerance:
                 break
             start = time.perf_counter()
-            values = parareal_iterate(values, config, executor)
+            values, g_values = parareal_iterate(values, config, executor, g_values)
             record(k, values, start)
             if on_iteration is not None:
                 on_iteration(k, values)

@@ -11,7 +11,9 @@ finite.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -208,25 +210,47 @@ def _gaussian_bump(x: np.ndarray) -> np.ndarray:
     return np.exp(-100.0 * (x - 0.5) ** 2)
 
 
+@contextlib.contextmanager
+def _config_keys(*keys: str):
+    """Report a constructor's ValueError as a ConfigError that names the
+    config key the rejected value came from: the first of ``keys`` whose
+    name the message mentions, or all of them if it mentions none."""
+    try:
+        yield
+    except ValueError as exc:
+        named = [key for key in keys if re.search(rf"\b{key.split('.', 1)[1]}\b", str(exc))]
+        raise ConfigError(f"{named[0] if named else ' / '.join(keys)}: {exc}") from exc
+
+
+def _build_model(config: ExperimentConfig):
+    kind, source = config.model_kind, _build_source(config)
+    with _config_keys("model.n_cells", "model.bc", "model.speed", "model.length", "model.basis"):
+        if kind == "spectral":
+            return SpectralModel(config.length, config.basis, source)
+        if kind == "wave":
+            return WaveModel(config.n_cells)
+        if kind == "heat":
+            return HeatModel(config.n_cells, config.bc, source)
+        return AdvectionModel(config.speed, config.n_cells, config.bc, source)
+
+
 def build_model_and_u0(config: ExperimentConfig):
     kind, initial = config.model_kind, config.initial_kind
-    source = _build_source(config)
+    model = _build_model(config)
     if kind == "spectral":
-        model = SpectralModel(config.length, config.basis, source)
+        with _config_keys("fine.mode_count"):
+            model.layout(config.fine_modes)
         if initial == "zero":
             u0 = model.zero_state(config.fine_modes)
         elif initial == "modes":
-            u0 = model.state_from_modes(dict(config.initial_modes), config.fine_modes)
+            with _config_keys("initial.modes"):
+                u0 = model.state_from_modes(dict(config.initial_modes), config.fine_modes)
         else:
             raise ConfigError(f"initial.kind: {initial!r} needs a grid model")
-        # after u0, so a bad fine.mode_count is not blamed on source.modes
-        try:
+        with _config_keys("source.modes"):
             model.state_from_modes(dict(config.source_modes), config.fine_modes)
-        except ValueError as exc:
-            raise ConfigError(f"source.modes: {exc}") from exc
         return model, u0
     if kind == "wave":
-        model = WaveModel(config.n_cells)
         if initial not in ("zero", "modes"):
             raise ConfigError("initial.kind: the wave model takes zero or mode data")
         u = np.zeros(model.n_unknowns)
@@ -234,10 +258,6 @@ def build_model_and_u0(config: ExperimentConfig):
             for m, c in config.initial_modes:
                 u += c * np.sin(m * np.pi * model.grid_x)
         return model, model.state_from(u, np.zeros(model.n_unknowns))
-    if kind == "heat":
-        model = HeatModel(config.n_cells, config.bc, source)
-    else:
-        model = AdvectionModel(config.speed, config.n_cells, config.bc, source)
     if initial == "zero":
         return model, model.zero_state()
     if initial == "gaussian_bump":
@@ -246,18 +266,19 @@ def build_model_and_u0(config: ExperimentConfig):
 
 
 def build_parareal(config: ExperimentConfig) -> PararealConfig:
-    try:
-        model, u0 = build_model_and_u0(config)
+    model, u0 = build_model_and_u0(config)
+    with _config_keys("partition.t_end", "partition.t_start", "partition.n_slices"):
         partition = make_uniform_partition(config.t_end, config.n_slices, config.t_start)
-        if config.model_kind == "spectral":
+    if config.model_kind == "spectral":
+        with _config_keys("fine.mode_count"):
             fine = PropagatorSpec(model, "fine", mode_count=config.fine_modes)
+        with _config_keys("coarse.mode_count"):
             coarse = PropagatorSpec(model, config.coarse_role, mode_count=config.coarse_modes)
-        else:
+    else:
+        with _config_keys("fine.steps_per_slice"):
             fine = PropagatorSpec(model, "fine", steps_per_slice=config.fine_steps)
+        with _config_keys("coarse.steps_per_slice"):
             coarse = PropagatorSpec(model, config.coarse_role, steps_per_slice=config.coarse_steps)
-    except ValueError as exc:
-        # a model, state or partition constructor rejected a config value
-        raise ConfigError(str(exc)) from exc
     return PararealConfig(
         partition=partition,
         u0=u0,

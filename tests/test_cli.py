@@ -224,18 +224,21 @@ def test_bc_alias_for_inflow_wall(tmp_path):
 # name -> (config document, a fragment the error message must contain);
 # each is rejected before any sweep runs
 _BAD_RUN_CONFIGS = {
-    "heat-one-cell": ("[model]\nkind = heat\nn_cells = 1\n", "n_cells"),
+    "heat-one-cell": ("[model]\nkind = heat\nn_cells = 1\n", "model.n_cells"),
     "wave-one-cell": ("[model]\nkind = wave\nn_cells = 1\n[source]\nkind = zero\n"
-                      "[coarse]\nrole = none\n", "n_cells"),
-    "no-slices": ("[partition]\nn_slices = 0\n", "n_slices"),
-    "advection-dirichlet": ("[model]\nkind = advection\nbc = dirichlet\n", "bc 'dirichlet'"),
+                      "[coarse]\nrole = none\n", "model.n_cells"),
+    "no-slices": ("[partition]\nn_slices = 0\n", "partition.n_slices"),
+    "advection-dirichlet": ("[model]\nkind = advection\nbc = dirichlet\n",
+                            "model.bc: unknown bc 'dirichlet'"),
+    "t_end-before-start": ("[partition]\nt_start = 1.0\nt_end = 0.5\n", "partition.t_end"),
+    "negative-coarse-steps": ("[coarse]\nsteps_per_slice = -1\n", "coarse.steps_per_slice"),
     "spectral-no-fine-modes": ("[model]\nkind = spectral\n[source]\nkind = zero\n"
-                               "[fine]\nmode_count = 0\n", "m_max"),
+                               "[fine]\nmode_count = 0\n", "fine.mode_count: m_max"),
     "spectral-negative-length": ("[model]\nkind = spectral\nlength = -1\n"
-                                 "[source]\nkind = zero\n", "length"),
+                                 "[source]\nkind = zero\n", "model.length"),
     "spectral-mode-outside-layout": ("[model]\nkind = spectral\n[source]\nkind = zero\n"
                                      "[initial]\nkind = modes\nmodes = 100:1.0\n"
-                                     "[fine]\nmode_count = 64\n", "mode 100"),
+                                     "[fine]\nmode_count = 64\n", "initial.modes: mode 100"),
     "wave-pulsed-source": ("[model]\nkind = wave\n[source]\nkind = pulsed\n"
                            "[coarse]\nrole = none\n", "source.kind"),
     "spectral-source-mode-past-layout": ("[model]\nkind = spectral\n[source]\nkind = pulsed\n"

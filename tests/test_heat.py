@@ -114,6 +114,25 @@ def test_propagate_is_a_semigroup():
     assert np.max(np.abs(whole.values - split.values)) < 1e-12
 
 
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("source", [SourceTerm.zero(), SourceTerm.pulsed()], ids=["zero", "pulsed"])
+def test_propagate_equals_uncached_step_loop_bitwise(bc, source):
+    """The cached factor and hoisted source profile of ``propagate`` give
+    the bits of backward_euler_step, which builds both on every call."""
+    model = HeatModel(32, bc, source)
+    spec = PropagatorSpec(model, "fine", steps_per_slice=7)
+    rng = np.random.default_rng(7)
+    u0 = StateVector(model.layout(), rng.normal(size=model.n_unknowns))
+    t_from, t_to = 0.3, 1.1
+    span = t_to - t_from
+    want = u0
+    for i in range(7):
+        want = backward_euler_step(model, want, t_from + (i * span) / 7, span / 7)
+    for _ in range(2):  # a cache miss, then a hit
+        got = propagate(model, spec, u0, t_from, t_to)
+        assert np.array_equal(got.values, want.values)
+
+
 def test_propagate_validates_inputs():
     model = HeatModel(16, "dirichlet")
     state = model.zero_state()

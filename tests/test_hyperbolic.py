@@ -165,6 +165,40 @@ def test_propagate_single_coarse_step_is_one_upwind_step():
     assert np.array_equal(via_propagate.values, direct.values)
 
 
+@pytest.mark.parametrize("bc", ["periodic", "inflow"])
+@pytest.mark.parametrize("source", [SourceTerm.zero(), SourceTerm.pulsed()], ids=["zero", "pulsed"])
+def test_advection_propagate_equals_step_loop_bitwise(bc, source):
+    """The hoisted source profile of advection_propagate gives the bits of
+    advection_step, which samples the source on every call."""
+    model = AdvectionModel(speed=1.0, n_cells=64, bc=bc, source=source)
+    spec = PropagatorSpec(model, "fine", steps_per_slice=20)
+    rng = np.random.default_rng(29)
+    state = StateVector(model.layout(), rng.normal(size=64))
+    t_from, t_to = 0.05, 0.3
+    span = t_to - t_from
+    want = state
+    for i in range(20):
+        want = advection_step(model, want, t_from + (i * span) / 20, span / 20)
+    got = advection_propagate(model, spec, state, t_from, t_to)
+    assert np.array_equal(got.values, want.values)
+
+
+def test_wave_propagate_equals_step_loop_bitwise():
+    """The cached factor of wave_propagate gives the bits of wave_step,
+    which factors I - dt^2/4 L on every call."""
+    model = WaveModel(32)
+    spec = PropagatorSpec(model, "fine", steps_per_slice=9)
+    rng = np.random.default_rng(31)
+    state = model.state_from(rng.normal(size=31), rng.normal(size=31))
+    t_from, t_to = 0.2, 0.65
+    want = state
+    for _ in range(9):
+        want = wave_step(model, want, 0.0, (t_to - t_from) / 9)
+    for _ in range(2):  # a cache miss, then a hit
+        got = wave_propagate(model, spec, state, t_from, t_to)
+        assert np.array_equal(got.values, want.values)
+
+
 def test_propagate_composes_across_slices():
     model = AdvectionModel(speed=1.0, n_cells=64, bc="periodic", source=SourceTerm.pulsed())
     spec = PropagatorSpec(model, "fine", steps_per_slice=16)

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from pitkit.core import (
     make_uniform_partition,
     propagate_slice,
 )
+from pitkit import parareal
 from pitkit.heat import HeatModel, SourceTerm, implicit_system, sample_source
 from pitkit.parareal import (
     PararealConfig,
@@ -63,9 +66,9 @@ def _spectral_config(m_fine=8, m_coarse=0, guess="zero", coefficients=None, **ov
 def test_slice_n_is_exact_after_n_iterations(guess):
     config = _heat_config(guess=guess, coarse=True)
     reference = reference_fine_sequential(config)
-    state = initialize_guess(config)
+    state, g_values = initialize_guess(config), None
     for k in range(1, config.partition.n_slices + 1):
-        state = parareal_iterate(state, config)
+        state, g_values = parareal_iterate(state, config, g_old=g_values)
         for n in range(k + 1):
             assert np.array_equal(state[n].values, reference[n].values), (
                 f"slice {n} not exact at iteration {k}"
@@ -77,7 +80,7 @@ def test_finite_termination_without_coarse():
     reference = reference_fine_sequential(config)
     state = initialize_guess(config)
     for _ in range(config.partition.n_slices):
-        state = parareal_iterate(state, config)
+        state, _ = parareal_iterate(state, config)
     for n, (got, want) in enumerate(zip(state, reference)):
         assert np.array_equal(got.values, want.values), f"slice {n} differs"
 
@@ -85,7 +88,7 @@ def test_finite_termination_without_coarse():
 def test_single_slice_converges_in_one_iteration():
     config = _heat_config(n_slices=1, coarse=False, max_iterations=1)
     reference = reference_fine_sequential(config)
-    state = parareal_iterate(initialize_guess(config), config)
+    state, _ = parareal_iterate(initialize_guess(config), config)
     assert np.array_equal(state[1].values, reference[1].values)
 
 
@@ -115,7 +118,7 @@ def test_covered_modes_exact_from_first_iteration(m_coarse):
     config = _spectral_config(m_coarse=m_coarse, guess="zero",
                               coefficients={1: 1.0, 2: 0.9, 3: 0.8, 4: 0.7, 8: 0.4})
     reference = reference_fine_sequential(config)
-    state = parareal_iterate(initialize_guess(config), config)
+    state, _ = parareal_iterate(initialize_guess(config), config)
     for n in range(1, config.partition.n_slices + 1):
         diff = state[n].values - reference[n].values
         assert np.array_equal(diff[:m_coarse], np.zeros(m_coarse)), (
@@ -201,7 +204,7 @@ def test_heat_iteration_matches_dense_linear_algebra():
     state = initialize_guess(config)
     for _ in range(2):
         old = [v.values for v in state]
-        state = parareal_iterate(state, config)
+        state, _ = parareal_iterate(state, config)
         new = [config.u0.values]
         for n in range(4):
             t0, t1 = partition.slice_bounds(n)
@@ -380,3 +383,70 @@ def test_heat_without_coarse_errors_never_grow():
     for earlier, later in zip(sups, sups[1:]):
         assert later <= earlier * (1.0 + 1e-12)
     assert sups[-1] == 0.0
+
+
+# ------------------------------------------------------------------ cost
+
+
+@pytest.mark.parametrize("guess", ["coarse_sweep", "zero"])
+def test_run_makes_one_coarse_call_per_slice_per_sweep(monkeypatch, guess):
+    """Each sweep's G(U^k_n) is carried into the next sweep as g_old, so a
+    run makes N(K+1) coarse propagations, as many as fine ones (the
+    sequential reference included)."""
+    calls = {"fine": 0, "coarse": 0}
+    propagate = parareal.propagate_slice
+
+    def counting(model, spec, state, t0, t1):
+        calls[spec.role] += 1
+        return propagate(model, spec, state, t0, t1)
+
+    monkeypatch.setattr(parareal, "propagate_slice", counting)
+    config = _heat_config(n_slices=6, guess=guess, max_iterations=4)
+    trace = run(config, fine_parallel=False)
+    assert len(trace.iterations()) == 5
+    assert calls == {"fine": 6 * 5, "coarse": 6 * 5}
+
+
+class _SerialExecutor:
+    """Stands in for ThreadPoolExecutor: records the pool size asked for
+    and maps on the calling thread, so no thread is started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+    def shutdown(self, wait=True):
+        pass
+
+
+@pytest.mark.parametrize("cpus, workers", [(None, 1), (1, 1), (4, 4)])
+def test_thread_pool_has_at_most_one_worker_per_cpu(monkeypatch, cpus, workers):
+    monkeypatch.setattr(_SerialExecutor, "sizes", [])
+    monkeypatch.setattr(parareal, "ThreadPoolExecutor", _SerialExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    model = SpectralModel()
+    config = PararealConfig(
+        partition=make_uniform_partition(3.0, 64),
+        u0=model.state_from_modes({1: 1.0, 2: 0.5}, 4),
+        fine=PropagatorSpec(model, "fine", mode_count=4),
+        max_iterations=2,
+        tolerance=0.0,
+    )
+    run(config, fine_parallel=True)
+    assert _SerialExecutor.sizes == [workers]
+
+
+def test_initial_guess_is_timed_in_row_zero(monkeypatch):
+    guess = parareal.initialize_guess
+
+    def slow_guess(config):
+        time.sleep(0.02)
+        return guess(config)
+
+    monkeypatch.setattr(parareal, "initialize_guess", slow_guess)
+    trace = run(_spectral_config(), fine_parallel=False)
+    assert trace.wall_time_ms[0] >= 20.0

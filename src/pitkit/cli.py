@@ -17,7 +17,7 @@ import sys
 from typing import Optional
 
 from .core import ConfigError, IterationTrace, NumericalError
-from .factors import DEFAULT_MODES, DEFAULT_SLICES, BACKWARD_EULER, factor_grid
+from .factors import DEFAULT_MODES, DEFAULT_SLICES, factor_grid
 from .parareal import reference_fine_sequential
 from .parareal import run as run_parareal
 from .presets import (
@@ -84,7 +84,7 @@ def _load_experiment(args) -> ExperimentConfig:
 
 def cmd_run(args) -> int:
     config = _load_experiment(args)
-    trace = run_parareal(build_parareal(config), fine_parallel=config.parallel)
+    trace = run_parareal(build_parareal(config))
     _write(render_trace(trace, config), args.out)
     return 0
 
@@ -112,13 +112,13 @@ def _parse_factor_config(path: Optional[str]):
 
 def cmd_factors(args) -> int:
     modes, dts, length = _parse_factor_config(args.config)
-    grid = factor_grid(modes, dts, length, BACKWARD_EULER)
+    grid = factor_grid(modes, dts, length)
     pairs = {
         "factors.m_min": str(modes[0]),
         "factors.m_max": str(modes[-1]),
         "factors.dts": " ".join(_fmt(dt) for dt in dts),
         "factors.length": _fmt(length),
-        "factors.stability": BACKWARD_EULER.name,
+        "factors.stability": "backward_euler",
     }
     lines = [FACTORS_HEADER]
     lines.extend(_header_lines(pairs))

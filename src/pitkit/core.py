@@ -2,7 +2,7 @@
 
 Time partitions, state snapshots, propagator specifications and iteration
 traces.  Everything here is an immutable value object so that propagators
-stay pure functions and sweeps can run concurrently without locks.
+stay pure functions.
 """
 
 from __future__ import annotations

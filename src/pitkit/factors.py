@@ -20,19 +20,9 @@ from .core import ConfigError
 from .spectral import SpectralModel
 
 
-@dataclass(frozen=True)
-class StabilityFunction:
-    """R(z) for the one-step method used as the coarse propagator."""
-
-    name: str = "backward_euler"
-
-    def __call__(self, z: float) -> float:
-        if self.name == "backward_euler":
-            return 1.0 / (1.0 - z)
-        raise ConfigError(f"unknown stability function {self.name!r}")
-
-
-BACKWARD_EULER = StabilityFunction("backward_euler")
+def backward_euler(z: float) -> float:
+    """Stability function R(z) = 1/(1 - z) of the backward Euler coarse step."""
+    return 1.0 / (1.0 - z)
 
 
 def rho_no_coarse(lam: float, dt_slice: float) -> float:
@@ -44,16 +34,16 @@ def rho_no_coarse(lam: float, dt_slice: float) -> float:
     return math.exp(-lam * dt_slice)
 
 
-def rho_with_coarse(lam: float, dt_slice: float,
-                    stability: StabilityFunction = BACKWARD_EULER) -> float:
-    """Linear contraction factor of the full iteration with one coarse step
-    per slice.  Requires |R(-lam*dT)| < 1, so lam = 0 is rejected."""
+def rho_with_coarse(lam: float, dt_slice: float) -> float:
+    """Linear contraction factor of the full iteration with one backward
+    Euler coarse step per slice.  Requires |R(-lam*dT)| < 1, so lam = 0 is
+    rejected."""
     if lam < 0.0:
         raise ConfigError(f"decay rate must be >= 0, got {lam}")
     if dt_slice <= 0.0:
         raise ConfigError(f"slice length must be positive, got {dt_slice}")
     z = -lam * dt_slice
-    r = stability(z)
+    r = backward_euler(z)
     if abs(r) >= 1.0:
         raise ConfigError(
             f"coarse step is not strictly stable at lam*dT = {lam * dt_slice}: |R| = {abs(r)}"
@@ -97,8 +87,7 @@ class FactorGrid:
 
 def factor_grid(modes: Sequence[int] = DEFAULT_MODES,
                 dts: Sequence[float] = DEFAULT_SLICES,
-                length: float = math.pi,
-                stability: StabilityFunction = BACKWARD_EULER) -> FactorGrid:
+                length: float = math.pi) -> FactorGrid:
     """Factors for sine modes on (0, length), where mode m decays at
     (m*pi/length)**2.  The default length pi makes the rate m**2."""
     if length <= 0.0:
@@ -109,6 +98,6 @@ def factor_grid(modes: Sequence[int] = DEFAULT_MODES,
         tuple(rho_no_coarse(rate, dt) for dt in dts) for rate in rates
     )
     wc = tuple(
-        tuple(rho_with_coarse(rate, dt, stability) for dt in dts) for rate in rates
+        tuple(rho_with_coarse(rate, dt) for dt in dts) for rate in rates
     )
     return FactorGrid(tuple(modes), tuple(dts), nc, wc)

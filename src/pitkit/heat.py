@@ -307,7 +307,7 @@ def substep_length(model, spec: PropagatorSpec, state: StateVector,
     the interval and the state's layout."""
     steps = spec.steps_per_slice
     if steps < 1:
-        raise ConfigError(f"{spec.role} propagator needs steps_per_slice >= 1, got {steps}")
+        raise ConfigError(f"{spec.role}.steps_per_slice: must be >= 1, got {steps}")
     if not t_to > t_from:
         raise ValueError(f"need t_to > t_from, got [{t_from}, {t_to}]")
     check_layout(model, state)

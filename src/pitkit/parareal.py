@@ -18,9 +18,7 @@ within roundoff.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -83,7 +81,7 @@ class PararealConfig:
             if coarse.mode_count >= self.fine.mode_count:
                 raise ConfigError(
                     "coarse propagator must resolve fewer modes than the fine one, "
-                    f"got {coarse.mode_count} >= {self.fine.mode_count}"
+                    f"got mode_count {coarse.mode_count} >= {self.fine.mode_count}"
                 )
 
     @property
@@ -129,12 +127,12 @@ def initialize_guess(config: PararealConfig) -> tuple[StateVector, ...]:
 
 
 def parareal_iterate(old: tuple[StateVector, ...], config: PararealConfig,
-                     executor: Optional[ThreadPoolExecutor] = None,
                      g_old: Optional[tuple[StateVector, ...]] = None,
                      ) -> tuple[tuple[StateVector, ...], Optional[tuple[StateVector, ...]]]:
-    """One sweep from boundary values U^k to U^{k+1}: parallel fine solves
-    from the old values, then the serial coarse correction (or a plain
-    copy-forward without a coarse propagator).
+    """One sweep from boundary values U^k to U^{k+1}: the fine solves from
+    the old values, each depending only on its own slice and input, then
+    the in-order coarse correction (or a plain copy-forward without a
+    coarse propagator).
 
     Returns U^{k+1} and the coarse values G(U^{k+1}_n) of slices 0..N-1,
     which the next sweep takes as ``g_old``; the coarse values are None
@@ -143,14 +141,7 @@ def parareal_iterate(old: tuple[StateVector, ...], config: PararealConfig,
     and recomputed coarse values are bitwise equal.
     """
     n_slices = config.partition.n_slices
-
-    def fine(n: int) -> StateVector:
-        return _propagate(config, config.fine, old[n], n)
-
-    if executor is None:
-        fine_values = [fine(n) for n in range(n_slices)]
-    else:
-        fine_values = list(executor.map(fine, range(n_slices)))
+    fine_values = [_propagate(config, config.fine, old[n], n) for n in range(n_slices)]
 
     new = [config.u0]
     coarse = config.coarse
@@ -166,7 +157,7 @@ def parareal_iterate(old: tuple[StateVector, ...], config: PararealConfig,
     return tuple(new), tuple(g_new)
 
 
-def run(config: PararealConfig, *, fine_parallel: bool = True,
+def run(config: PararealConfig, *,
         on_iteration: Optional[Callable[[int, tuple[StateVector, ...]], None]] = None,
         ) -> IterationTrace:
     """Run the iteration against the sequential fine reference.
@@ -195,23 +186,14 @@ def run(config: PararealConfig, *, fine_parallel: bool = True,
     # the coarse sweep guess is U^0_{n+1} = G(U^0_n), so it already holds
     # the coarse values the first sweep needs
     g_values = values[1:] if config.resolved_guess == "coarse_sweep" else None
-    executor = None
-    try:
-        if fine_parallel and config.partition.n_slices > 1:
-            # at most one worker per CPU, whatever the slice count
-            executor = ThreadPoolExecutor(
-                max_workers=min(config.partition.n_slices, os.cpu_count() or 1))
-        for k in range(1, config.max_iterations + 1):
-            if config.tolerance > 0.0 and errors[-1].max() <= config.tolerance:
-                break
-            start = time.perf_counter()
-            values, g_values = parareal_iterate(values, config, executor, g_values)
-            record(k, values, start)
-            if on_iteration is not None:
-                on_iteration(k, values)
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False)
+    for k in range(1, config.max_iterations + 1):
+        if config.tolerance > 0.0 and errors[-1].max() <= config.tolerance:
+            break
+        start = time.perf_counter()
+        values, g_values = parareal_iterate(values, config, g_values)
+        record(k, values, start)
+        if on_iteration is not None:
+            on_iteration(k, values)
 
     bounds = [None] * len(errors)
     if isinstance(config.fine.model, SpectralModel):

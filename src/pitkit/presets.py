@@ -59,7 +59,7 @@ class ExperimentConfig:
     tolerance: float = 0.0
     seed: int = 0
     timings: bool = False
-    parallel: bool = True
+    parallel: bool = True  # accepted and echoed; selects nothing
     preset: str = ""
 
     def __post_init__(self):
@@ -212,13 +212,16 @@ def _gaussian_bump(x: np.ndarray) -> np.ndarray:
 
 @contextlib.contextmanager
 def _config_keys(*keys: str):
-    """Report a constructor's ValueError as a ConfigError that names the
-    config key the rejected value came from: the first of ``keys`` whose
-    name the message mentions, or all of them if it mentions none."""
+    """Report a constructor's ValueError or ConfigError as a ConfigError
+    that names the config key the rejected value came from: the first of
+    ``keys`` whose name the message mentions (also after an underscore, so
+    max_iterations names run.iterations), or all of them if it mentions
+    none."""
     try:
         yield
-    except ValueError as exc:
-        named = [key for key in keys if re.search(rf"\b{key.split('.', 1)[1]}\b", str(exc))]
+    except (ValueError, ConfigError) as exc:
+        named = [key for key in keys
+                 if re.search(rf"(?<![A-Za-z0-9]){key.split('.', 1)[1]}\b", str(exc))]
         raise ConfigError(f"{named[0] if named else ' / '.join(keys)}: {exc}") from exc
 
 
@@ -279,16 +282,17 @@ def build_parareal(config: ExperimentConfig) -> PararealConfig:
             fine = PropagatorSpec(model, "fine", steps_per_slice=config.fine_steps)
         with _config_keys("coarse.steps_per_slice"):
             coarse = PropagatorSpec(model, config.coarse_role, steps_per_slice=config.coarse_steps)
-    return PararealConfig(
-        partition=partition,
-        u0=u0,
-        fine=fine,
-        coarse=coarse,
-        max_iterations=config.iterations,
-        initial_guess=config.initial_guess,
-        tolerance=config.tolerance,
-        seed=config.seed,
-    )
+    with _config_keys("run.iterations", "run.tolerance", "run.initial_guess", "coarse.mode_count"):
+        return PararealConfig(
+            partition=partition,
+            u0=u0,
+            fine=fine,
+            coarse=coarse,
+            max_iterations=config.iterations,
+            initial_guess=config.initial_guess,
+            tolerance=config.tolerance,
+            seed=config.seed,
+        )
 
 
 # --------------------------------------------------------------------------

@@ -1,0 +1,57 @@
+"""Test-side parareal sweep that checks slice independence directly.
+
+A sweep's fine solves may run on separate workers only if each depends on
+nothing but its own slice and input.  ``reordered_sweep`` recomputes a
+sweep with every solver cache cleared and the fine solves in reversed slice
+order; ``assert_sweeps_match_reordered`` compares it bitwise with the
+boundary values ``run`` records after every sweep.
+"""
+
+import numpy as np
+
+from pitkit import heat, hyperbolic
+from pitkit.core import propagate_slice
+from pitkit.parareal import initialize_guess, run
+
+
+def _clear_solver_caches():
+    heat._implicit_factor.cache_clear()
+    heat._cached_source_profile.cache_clear()
+    hyperbolic._cached_wave_factor.cache_clear()
+
+
+def reordered_sweep(config, old):
+    """U^{k+1} from U^k = ``old``: fine solves in reversed slice order from
+    cold caches, then the in-order correction F_n + (G(new_n) - G(old_n)),
+    or plain F_n without a coarse propagator."""
+    partition, fine, coarse = config.partition, config.fine, config.coarse
+    _clear_solver_caches()
+    fine_values = {}
+    for n in reversed(range(partition.n_slices)):
+        fine_values[n] = propagate_slice(fine.model, fine, old[n], *partition.slice_bounds(n))
+    new = [config.u0]
+    for n in range(partition.n_slices):
+        if coarse is None:
+            new.append(fine_values[n])
+            continue
+        bounds = partition.slice_bounds(n)
+        g_new = propagate_slice(coarse.model, coarse, new[n], *bounds)
+        g_old = propagate_slice(coarse.model, coarse, old[n], *bounds)
+        new.append(fine_values[n] + (g_new - g_old))
+    return tuple(new)
+
+
+def assert_sweeps_match_reordered(config):
+    """Run ``config`` and assert that the boundary values of every sweep are
+    bitwise those of ``reordered_sweep``; returns the run's trace."""
+    recorded = []
+    trace = run(config, on_iteration=lambda k, values: recorded.append(values))
+    assert len(recorded) == len(trace.errors) - 1
+    old = initialize_guess(config)
+    for k, values in enumerate(recorded, start=1):
+        want = reordered_sweep(config, old)
+        assert len(values) == len(want)
+        for n, (got, expected) in enumerate(zip(values, want)):
+            assert np.array_equal(got.values, expected.values), f"boundary {n} after sweep {k}"
+        old = want
+    return trace

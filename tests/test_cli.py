@@ -108,6 +108,20 @@ def test_wall_time_column_is_zero_without_timings(tmp_path):
     assert all(row[4] == "0.0" for row in _rows(out))
 
 
+def test_run_parallel_is_echoed_and_selects_nothing(tmp_path):
+    lines = {}
+    for value in ("true", "false"):
+        cfg = tmp_path / f"{value}.ini"
+        cfg.write_text("[partition]\nn_slices = 6\n[fine]\nsteps_per_slice = 48\n"
+                       f"[run]\niterations = 3\nparallel = {value}\n")
+        out = tmp_path / f"{value}.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        lines[value] = out.read_text().splitlines()
+    assert len(lines["true"]) == len(lines["false"])
+    differing = [pair for pair in zip(lines["true"], lines["false"]) if pair[0] != pair[1]]
+    assert differing == [("# run.parallel = true", "# run.parallel = false")]
+
+
 # ---------------------------------------------------------------- overrides
 
 
@@ -247,6 +261,16 @@ _BAD_RUN_CONFIGS = {
     "spectral-source-mode-zero": ("[model]\nkind = spectral\n[source]\nkind = pulsed\n"
                                   "modes = 0:1.0\n", "source.modes: mode 0"),
     "negative-seed": ("[run]\ninitial_guess = random\nseed = -1\n", "run.seed"),
+    "fine-steps-zero": ("[fine]\nsteps_per_slice = 0\n", "fine.steps_per_slice: must be >= 1"),
+    "coarse-steps-zero": ("[coarse]\nsteps_per_slice = 0\n",
+                          "coarse.steps_per_slice: must be >= 1"),
+    "no-iterations": ("[run]\niterations = 0\n", "run.iterations: max_iterations must be >= 1"),
+    "negative-tolerance": ("[run]\ntolerance = -1\n", "run.tolerance: tolerance must be >= 0"),
+    "spectral-coarse-modes-not-fewer": ("[model]\nkind = spectral\n[source]\nkind = zero\n"
+                                        "[fine]\nmode_count = 4\n[coarse]\nmode_count = 4\n",
+                                        "coarse.mode_count: coarse propagator must resolve fewer"),
+    "coarse-sweep-without-coarse": ("[coarse]\nrole = none\n[run]\ninitial_guess = coarse_sweep\n",
+                                    "run.initial_guess: initial_guess 'coarse_sweep' requires"),
     "t_end-nan": ("[partition]\nt_end = nan\n", "partition.t_end: expected a finite number"),
     "t_end-inf": ("[partition]\nt_end = inf\n", "partition.t_end: expected a finite number"),
     "tolerance-nan": ("[run]\ntolerance = nan\n", "run.tolerance: expected a finite number"),

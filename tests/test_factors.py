@@ -4,10 +4,9 @@ import pytest
 
 from pitkit.core import ConfigError
 from pitkit.factors import (
-    BACKWARD_EULER,
     DEFAULT_MODES,
     DEFAULT_SLICES,
-    StabilityFunction,
+    backward_euler,
     factor_grid,
     iteration_error_bound,
     rho_no_coarse,
@@ -68,11 +67,6 @@ def test_invalid_arguments_rejected():
         rho_with_coarse(0.0, 0.5)
 
 
-def test_unknown_stability_function_rejected():
-    with pytest.raises(ConfigError):
-        rho_with_coarse(1.0, 0.5, StabilityFunction("crank"))
-
-
 def test_no_coarse_monotone_in_rate_and_slice():
     for lam, dt in ((1.0, 0.5), (4.0, 0.25)):
         assert rho_no_coarse(lam * 2, dt) < rho_no_coarse(lam, dt)
@@ -80,8 +74,8 @@ def test_no_coarse_monotone_in_rate_and_slice():
 
 
 def test_backward_euler_stability_value():
-    assert BACKWARD_EULER(-0.5) == pytest.approx(2.0 / 3.0, rel=1e-15)
-    assert BACKWARD_EULER(-1.0) == 0.5
+    assert backward_euler(-0.5) == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert backward_euler(-1.0) == 0.5
 
 
 def test_error_bound_values():

@@ -1,6 +1,6 @@
 import dataclasses
 import math
-import os
+import threading
 import time
 
 import numpy as np
@@ -26,6 +26,8 @@ from pitkit.parareal import (
 )
 from pitkit.presets import build_parareal, experiment_preset
 from pitkit.spectral import ModeSource, SpectralModel
+
+from independent_sweeps import assert_sweeps_match_reordered
 
 
 def _heat_config(n_slices=6, guess="replicate_u0", coarse=True, **overrides):
@@ -220,12 +222,18 @@ def test_heat_iteration_matches_dense_linear_algebra():
 
 
 def test_parallel_and_serial_fine_solves_agree_bitwise():
-    config = _heat_config(guess="coarse_sweep")
-    t1 = run(config, fine_parallel=True)
-    t2 = run(config, fine_parallel=False)
-    assert list(t1.iterations()) == list(t2.iterations())
-    for k in t1.iterations():
-        assert list(t1.errors_at(k)) == list(t2.errors_at(k))
+    """The fine solves of a sweep can run in any order, as parallel workers
+    would run them: reversed order from cold caches gives the same bits."""
+    assert_sweeps_match_reordered(_heat_config(guess="coarse_sweep"))
+
+
+def test_run_starts_no_thread(monkeypatch):
+    def refuse(thread):
+        raise AssertionError(f"run started thread {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    trace = run(build_parareal(experiment_preset("heat-dirichlet-N6")))
+    assert trace.errors.shape == (11, 7)
 
 
 def test_repeated_runs_are_identical():
@@ -336,7 +344,7 @@ def test_non_finite_error_past_boundary_0_is_a_numerical_failure():
     config = PararealConfig(make_uniform_partition(2.0, 4), u0,
                             PropagatorSpec(_NanAfterOne(), "fine"), tolerance=0.0)
     with pytest.raises(NumericalError, match="iteration 0"):
-        run(config, fine_parallel=False)
+        run(config)
 
 
 def test_early_stop_respects_tolerance():
@@ -402,42 +410,9 @@ def test_run_makes_one_coarse_call_per_slice_per_sweep(monkeypatch, guess):
 
     monkeypatch.setattr(parareal, "propagate_slice", counting)
     config = _heat_config(n_slices=6, guess=guess, max_iterations=4)
-    trace = run(config, fine_parallel=False)
+    trace = run(config)
     assert len(trace.iterations()) == 5
     assert calls == {"fine": 6 * 5, "coarse": 6 * 5}
-
-
-class _SerialExecutor:
-    """Stands in for ThreadPoolExecutor: records the pool size asked for
-    and maps on the calling thread, so no thread is started."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def map(self, fn, iterable):
-        return map(fn, iterable)
-
-    def shutdown(self, wait=True):
-        pass
-
-
-@pytest.mark.parametrize("cpus, workers", [(None, 1), (1, 1), (4, 4)])
-def test_thread_pool_has_at_most_one_worker_per_cpu(monkeypatch, cpus, workers):
-    monkeypatch.setattr(_SerialExecutor, "sizes", [])
-    monkeypatch.setattr(parareal, "ThreadPoolExecutor", _SerialExecutor)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    model = SpectralModel()
-    config = PararealConfig(
-        partition=make_uniform_partition(3.0, 64),
-        u0=model.state_from_modes({1: 1.0, 2: 0.5}, 4),
-        fine=PropagatorSpec(model, "fine", mode_count=4),
-        max_iterations=2,
-        tolerance=0.0,
-    )
-    run(config, fine_parallel=True)
-    assert _SerialExecutor.sizes == [workers]
 
 
 def test_initial_guess_is_timed_in_row_zero(monkeypatch):
@@ -448,5 +423,5 @@ def test_initial_guess_is_timed_in_row_zero(monkeypatch):
         return guess(config)
 
     monkeypatch.setattr(parareal, "initialize_guess", slow_guess)
-    trace = run(_spectral_config(), fine_parallel=False)
+    trace = run(_spectral_config())
     assert trace.wall_time_ms[0] >= 20.0

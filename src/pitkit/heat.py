@@ -114,8 +114,8 @@ class HeatModel:
     def layout(self) -> GridLayout:
         return GridLayout(self.n_unknowns, self.dx, self.bc)
 
-    def laplacian(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(sub, diag, sup) bands of the discrete Laplacian acting on unknowns."""
+    def laplacian(self) -> TridiagonalSystem:
+        """The discrete Laplacian acting on unknowns."""
         n = self.n_unknowns
         inv_dx2 = 1.0 / self.dx**2
         sub = np.full(n - 1, inv_dx2)
@@ -125,7 +125,23 @@ class HeatModel:
             # ghost reflection: u_{-1} = u_1 and u_{n+1} = u_{n-1}
             sup[0] = 2.0 * inv_dx2
             sub[-1] = 2.0 * inv_dx2
-        return sub, diag, sup
+        return TridiagonalSystem(sub, diag, sup)
+
+    def stepper(self, dt: float):
+        """Backward Euler step (I - dt*L) u_new = u + dt*f(., t + dt) on raw
+        value arrays, with its factor and source profile built here once.
+
+        The source is sampled at the step end, which is the consistent
+        choice for the implicit scheme.
+        """
+        factor = _ThomasFactor(implicit_system(self, dt))
+        source, profile = self.source, _source_profile(self)
+
+        def step(u: np.ndarray, t: float) -> np.ndarray:
+            if profile is not None:
+                u = u + dt * (profile * source.time_profile(t + dt))
+            return factor.solve(u)
+        return step
 
     def zero_state(self) -> StateVector:
         return StateVector(self.layout(), np.zeros(self.n_unknowns))
@@ -243,41 +259,16 @@ def thomas_solve(system: TridiagonalSystem, rhs: np.ndarray) -> np.ndarray:
 # time stepping
 
 
+def identity_minus(lap: TridiagonalSystem, c: float) -> TridiagonalSystem:
+    """Matrix I - c*L of an implicit step with operator L."""
+    return TridiagonalSystem(-c * lap.sub, 1.0 - c * lap.diag, -c * lap.sup)
+
+
 def implicit_system(model: HeatModel, dt: float) -> TridiagonalSystem:
     """Matrix I - dt*L for one Backward Euler step."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    sub, diag, sup = model.laplacian()
-    return TridiagonalSystem(-dt * sub, 1.0 - dt * diag, -dt * sup)
-
-
-def backward_euler_step(model: HeatModel, state: StateVector, t: float, dt: float) -> StateVector:
-    """One step of (I - dt*L) u_new = u + dt*f(., t + dt).
-
-    The source is sampled at the step end, which is the consistent choice
-    for the implicit scheme.  Builds its own factor and source profile, so
-    it is the reference the cached ``propagate`` path is checked against.
-    """
-    check_layout(model, state)
-    factor = _ThomasFactor(implicit_system(model, dt))
-    return StateVector(state.layout,
-                       _step(factor, model.source, _source_profile(model), state.values, t, dt))
-
-
-def _step(factor: _ThomasFactor, source: SourceTerm, profile, u: np.ndarray,
-          t: float, dt: float) -> np.ndarray:
-    """One Backward Euler step on a raw value array; ``profile`` is the
-    source's space profile on the grid, None for a zero source."""
-    if profile is not None:
-        u = u + dt * (profile * source.time_profile(t + dt))
-    return factor.solve(u)
-
-
-@functools.lru_cache(maxsize=64)
-def _implicit_factor(model: HeatModel, dt: float) -> _ThomasFactor:
-    """Thomas factor of I - dt*L, shared by every propagation of the model
-    with substep dt."""
-    return _ThomasFactor(implicit_system(model, dt))
+    return identity_minus(model.laplacian(), dt)
 
 
 def _source_profile(model) -> np.ndarray | None:
@@ -290,14 +281,25 @@ def _source_profile(model) -> np.ndarray | None:
     return profile
 
 
-# sampled once per model
-_cached_source_profile = functools.lru_cache(maxsize=64)(_source_profile)
-
-
 def check_layout(model, state: StateVector):
     """A grid model's state must have the model's own layout."""
     if state.layout != model.layout():
         raise ValueError(f"state layout {state.layout} does not fit model {model}")
+
+
+def grid_step(model, state: StateVector, t: float, dt: float) -> StateVector:
+    """One step of a grid model's scheme from t to t + dt.  Builds its own
+    stepper, so it is the reference the cached ``grid_propagate`` march is
+    checked against."""
+    check_layout(model, state)
+    return StateVector(state.layout, model.stepper(dt)(state.values, t))
+
+
+@functools.lru_cache(maxsize=64)
+def _cached_stepper(model, dt: float):
+    """A grid model's step with substep dt, shared by every propagation of
+    the model with that substep."""
+    return model.stepper(dt)
 
 
 def substep_length(model, spec: PropagatorSpec, state: StateVector,
@@ -314,27 +316,28 @@ def substep_length(model, spec: PropagatorSpec, state: StateVector,
     return (t_to - t_from) / steps
 
 
-def propagate(model: HeatModel, spec: PropagatorSpec, state: StateVector,
-              t_from: float, t_to: float) -> StateVector:
-    """Advance across one slice with spec.steps_per_slice Backward Euler steps.
+def grid_propagate(model, spec: PropagatorSpec, state: StateVector,
+                   t_from: float, t_to: float) -> StateVector:
+    """Advance a grid model across one slice with spec.steps_per_slice steps.
 
     Substep times are computed multiplicatively from the slice ends so a
     sweep over adjacent slices hits exactly the same instants as one long
     propagate over their union.
     """
     dt = substep_length(model, spec, state, t_from, t_to)
+    try:
+        step = _cached_stepper(model, dt)
+    except ConfigError as exc:
+        raise ConfigError(f"{spec.role}.steps_per_slice: {exc}") from None
     steps = spec.steps_per_slice
     span = t_to - t_from
-    factor = _implicit_factor(model, dt)
-    profile = _cached_source_profile(model)
     u = state.values
     for i in range(steps):
-        t_i = t_from + (i * span) / steps
-        u = _step(factor, model.source, profile, u, t_i, dt)
+        u = step(u, t_from + (i * span) / steps)
     return StateVector(state.layout, u)
 
 
-propagate_slice.register(HeatModel, propagate)
+propagate_slice.register(HeatModel, grid_propagate)
 
 
 def fd_decay_rate(model: HeatModel, m: int) -> float:

@@ -98,12 +98,17 @@ def _propagate(config: PararealConfig, spec: PropagatorSpec, state: StateVector,
     return propagate_slice(spec.model, spec, state, t0, t1)
 
 
-def reference_fine_sequential(config: PararealConfig) -> tuple[StateVector, ...]:
-    """Slice boundary values of the plain sequential fine run."""
+def _sequential(config: PararealConfig, spec: PropagatorSpec) -> tuple[StateVector, ...]:
+    """Slice boundary values of a plain sequential run of one propagator."""
     values = [config.u0]
     for n in range(config.partition.n_slices):
-        values.append(_propagate(config, config.fine, values[n], n))
+        values.append(_propagate(config, spec, values[n], n))
     return tuple(values)
+
+
+def reference_fine_sequential(config: PararealConfig) -> tuple[StateVector, ...]:
+    """Slice boundary values of the plain sequential fine run."""
+    return _sequential(config, config.fine)
 
 
 def initialize_guess(config: PararealConfig) -> tuple[StateVector, ...]:
@@ -115,9 +120,7 @@ def initialize_guess(config: PararealConfig) -> tuple[StateVector, ...]:
     elif kind == "replicate_u0":
         values = [config.u0] * (n_slices + 1)
     elif kind == "coarse_sweep":
-        values = [config.u0]
-        for n in range(n_slices):
-            values.append(_propagate(config, config.coarse, values[n], n))
+        return _sequential(config, config.coarse)
     else:  # random
         rng = np.random.default_rng(config.seed)
         values = [config.u0]

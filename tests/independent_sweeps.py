@@ -9,15 +9,13 @@ boundary values ``run`` records after every sweep.
 
 import numpy as np
 
-from pitkit import heat, hyperbolic
+from pitkit import heat
 from pitkit.core import propagate_slice
 from pitkit.parareal import initialize_guess, run
 
 
 def _clear_solver_caches():
-    heat._implicit_factor.cache_clear()
-    heat._cached_source_profile.cache_clear()
-    hyperbolic._cached_wave_factor.cache_clear()
+    heat._cached_stepper.cache_clear()
 
 
 def reordered_sweep(config, old):

@@ -277,6 +277,9 @@ _BAD_RUN_CONFIGS = {
     "mode-coefficient-nan": ("[model]\nkind = spectral\n[source]\nkind = zero\n"
                              "[initial]\nkind = modes\nmodes = 1:nan\n",
                              "initial.modes: expected a finite number"),
+    "advection-cfl-above-one": ("[model]\nkind = advection\nbc = periodic\n[source]\nkind = zero\n"
+                                "[fine]\nsteps_per_slice = 4\n[coarse]\nrole = none\n",
+                                "fine.steps_per_slice: CFL number"),
 }
 
 

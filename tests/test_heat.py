@@ -3,19 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from pitkit import heat
 from pitkit.core import ConfigError, PropagatorSpec, SingularSystemError, StateVector
 from pitkit.heat import (
     HeatModel,
     SourceTerm,
     TridiagonalSystem,
-    backward_euler_step,
     conserved_mean,
     fd_decay_rate,
+    grid_propagate,
+    grid_step,
     implicit_system,
-    propagate,
     sample_source,
     thomas_solve,
 )
+from pitkit.hyperbolic import AdvectionModel, WaveModel
 
 
 # ---------------------------------------------------------------- solver
@@ -75,7 +77,7 @@ def test_backward_euler_damps_eigenvectors():
     for m in (1, 2, 3, 5):
         vec = np.sin(m * np.pi * model.grid_x)
         state = StateVector(model.layout(), vec)
-        stepped = backward_euler_step(model, state, 0.0, dt)
+        stepped = grid_step(model, state, 0.0, dt)
         factor = 1.0 / (1.0 + dt * fd_decay_rate(model, m))
         assert np.max(np.abs(stepped.values - factor * vec)) < 1e-13
 
@@ -83,7 +85,7 @@ def test_backward_euler_damps_eigenvectors():
 def test_neumann_keeps_constants_stationary():
     model = HeatModel(32, "neumann")
     state = StateVector(model.layout(), np.full(model.n_unknowns, 4.0))
-    stepped = backward_euler_step(model, state, 0.0, 0.25)
+    stepped = grid_step(model, state, 0.0, 0.25)
     assert np.max(np.abs(stepped.values - 4.0)) < 1e-12
 
 
@@ -94,7 +96,7 @@ def test_neumann_conserves_trapezoidal_mean_with_source():
     injected = 0.0
     t = 0.0
     for _ in range(30):
-        state = backward_euler_step(model, state, t, dt)
+        state = grid_step(model, state, t, dt)
         t += dt
         f = sample_source(model.source, model.grid_x, t)
         w = np.full(model.n_unknowns, 1.0 / model.n_cells)
@@ -109,49 +111,62 @@ def test_propagate_is_a_semigroup():
     spec = PropagatorSpec(model, "fine", steps_per_slice=8)
     half = PropagatorSpec(model, "fine", steps_per_slice=4)
     u0 = StateVector(model.layout(), np.sin(np.pi * model.grid_x))
-    whole = propagate(model, spec, u0, 0.0, 0.5)
-    split = propagate(model, half, propagate(model, half, u0, 0.0, 0.25), 0.25, 0.5)
+    whole = grid_propagate(model, spec, u0, 0.0, 0.5)
+    split = grid_propagate(model, half, grid_propagate(model, half, u0, 0.0, 0.25), 0.25, 0.5)
     assert np.max(np.abs(whole.values - split.values)) < 1e-12
 
 
-@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
-@pytest.mark.parametrize("source", [SourceTerm.zero(), SourceTerm.pulsed()], ids=["zero", "pulsed"])
-def test_propagate_equals_uncached_step_loop_bitwise(bc, source):
-    """The cached factor and hoisted source profile of ``propagate`` give
-    the bits of backward_euler_step, which builds both on every call."""
-    model = HeatModel(32, bc, source)
-    spec = PropagatorSpec(model, "fine", steps_per_slice=7)
-    rng = np.random.default_rng(7)
-    u0 = StateVector(model.layout(), rng.normal(size=model.n_unknowns))
-    t_from, t_to = 0.3, 1.1
-    span = t_to - t_from
-    want = u0
-    for i in range(7):
-        want = backward_euler_step(model, want, t_from + (i * span) / 7, span / 7)
-    for _ in range(2):  # a cache miss, then a hit
-        got = propagate(model, spec, u0, t_from, t_to)
-        assert np.array_equal(got.values, want.values)
+# (model, steps_per_slice, t_from, t_to, seed) of each cached-march check
+_MARCH_CASES = {
+    **{f"{name}-{bc}": (HeatModel(32, bc, source), 7, 0.3, 1.1, 7)
+       for bc in ("dirichlet", "neumann")
+       for name, source in (("zero", SourceTerm.zero()), ("pulsed", SourceTerm.pulsed()))},
+    **{f"{name}-{bc}": (AdvectionModel(1.0, 64, bc, source), 20, 0.05, 0.3, 29)
+       for bc in ("periodic", "inflow")
+       for name, source in (("zero", SourceTerm.zero()), ("pulsed", SourceTerm.pulsed()))},
+    "wave": (WaveModel(32), 9, 0.2, 0.65, 31),
+}
+
+
+@pytest.mark.parametrize("case", list(_MARCH_CASES))
+def test_propagate_equals_uncached_step_loop_bitwise(case):
+    """The cached stepper of ``grid_propagate`` gives the bits of grid_step,
+    which builds the model's factor and source profile on every call; two
+    slice lengths, so a cache that ignores the substep fails."""
+    model, steps, t_from, t_to, seed = _MARCH_CASES[case]
+    spec = PropagatorSpec(model, "fine", steps_per_slice=steps)
+    rng = np.random.default_rng(seed)
+    u0 = StateVector(model.layout(), rng.normal(size=model.layout().size))
+    heat._cached_stepper.cache_clear()
+    for t_end in (t_to, t_from + 0.5 * (t_to - t_from)):
+        span = t_end - t_from
+        want = u0
+        for i in range(steps):
+            want = grid_step(model, want, t_from + (i * span) / steps, span / steps)
+        for _ in range(2):  # a cache miss, then a hit
+            got = grid_propagate(model, spec, u0, t_from, t_end)
+            assert np.array_equal(got.values, want.values)
 
 
 def test_propagate_validates_inputs():
     model = HeatModel(16, "dirichlet")
     state = model.zero_state()
     with pytest.raises(ConfigError):
-        propagate(model, PropagatorSpec(model, "fine", steps_per_slice=0), state, 0.0, 1.0)
+        grid_propagate(model, PropagatorSpec(model, "fine", steps_per_slice=0), state, 0.0, 1.0)
     with pytest.raises(ValueError):
-        propagate(model, PropagatorSpec(model, "fine", steps_per_slice=2), state, 1.0, 1.0)
+        grid_propagate(model, PropagatorSpec(model, "fine", steps_per_slice=2), state, 1.0, 1.0)
     other = HeatModel(16, "neumann").zero_state()
     with pytest.raises(ValueError):
-        backward_euler_step(model, other, 0.0, 0.1)
+        grid_step(model, other, 0.0, 0.1)
 
 
 def test_implicit_system_matches_matrix_definition():
     model = HeatModel(8, "dirichlet")
     dt = 0.125
-    sub, diag, sup = model.laplacian()
+    lap = model.laplacian()
     dense = implicit_system(model, dt).dense()
     want = np.eye(model.n_unknowns) - dt * (
-        np.diag(sub, -1) + np.diag(diag) + np.diag(sup, 1)
+        np.diag(lap.sub, -1) + np.diag(lap.diag) + np.diag(lap.sup, 1)
     )
     assert np.allclose(dense, want, atol=1e-15)
 

@@ -2,16 +2,8 @@ import numpy as np
 import pytest
 
 from pitkit.core import ConfigError, PropagatorSpec, StateVector
-from pitkit.heat import SourceTerm
-from pitkit.hyperbolic import (
-    AdvectionModel,
-    WaveModel,
-    advection_propagate,
-    advection_step,
-    wave_energy,
-    wave_propagate,
-    wave_step,
-)
+from pitkit.heat import SourceTerm, grid_propagate, grid_step
+from pitkit.hyperbolic import AdvectionModel, WaveModel, wave_energy
 
 
 # ---------------------------------------------------------------- advection
@@ -22,7 +14,7 @@ def test_unit_cfl_periodic_step_is_exact_cyclic_shift():
     rng = np.random.default_rng(5)
     u = rng.normal(size=16)
     state = StateVector(model.layout(), u)
-    stepped = advection_step(model, state, 0.0, model.dx)
+    stepped = grid_step(model, state, 0.0, model.dx)
     assert np.array_equal(stepped.values, np.roll(u, 1))
 
 
@@ -30,7 +22,7 @@ def test_unit_cfl_inflow_flushes_domain_to_exact_zero():
     model = AdvectionModel(speed=1.0, n_cells=32, bc="inflow", source=SourceTerm.zero())
     state = StateVector(model.layout(), np.ones(32))
     for _ in range(32):
-        state = advection_step(model, state, 0.0, model.dx)
+        state = grid_step(model, state, 0.0, model.dx)
     assert np.array_equal(state.values, np.zeros(32))
 
 
@@ -38,12 +30,12 @@ def test_cfl_violation_rejected():
     model = AdvectionModel(speed=1.0, n_cells=16, bc="periodic")
     state = model.zero_state()
     with pytest.raises(ConfigError):
-        advection_step(model, state, 0.0, 2.0 * model.dx)
+        grid_step(model, state, 0.0, 2.0 * model.dx)
 
 
 def test_zero_state_zero_source_stays_zero():
     model = AdvectionModel(speed=1.0, n_cells=16, bc="inflow", source=SourceTerm.zero())
-    out = advection_step(model, model.zero_state(), 0.0, model.dx)
+    out = grid_step(model, model.zero_state(), 0.0, model.dx)
     assert np.array_equal(out.values, np.zeros(16))
 
 
@@ -55,7 +47,7 @@ def test_periodic_zero_source_conserves_grid_sum():
     # sub-unit CFL exercises the dissipative branch as well
     for nu_steps, dt in ((40, model.dx), (40, 0.5 * model.dx)):
         for _ in range(nu_steps):
-            state = advection_step(model, state, 0.0, dt)
+            state = grid_step(model, state, 0.0, dt)
     after = float(np.sum(state.values))
     assert after == pytest.approx(before, rel=1e-12)
 
@@ -66,7 +58,7 @@ def test_periodic_sweep_over_full_period_returns_near_initial():
     spec = PropagatorSpec(model, "fine", steps_per_slice=32)
     rng = np.random.default_rng(9)
     state = StateVector(model.layout(), rng.normal(size=32))
-    swept = advection_propagate(model, spec, state, 0.0, 1.0)
+    swept = grid_propagate(model, spec, state, 0.0, 1.0)
     assert np.max(np.abs(swept.values - state.values)) < 1e-12
 
 
@@ -75,7 +67,7 @@ def test_source_injects_at_step_start():
     model = AdvectionModel(speed=1.0, n_cells=128, bc="inflow", source=source)
     state = model.zero_state()
     dt = model.dx
-    stepped = advection_step(model, state, 0.1, dt)
+    stepped = grid_step(model, state, 0.1, dt)
     from pitkit.heat import sample_source
 
     want = dt * sample_source(source, model.grid_x, 0.1)
@@ -99,7 +91,7 @@ def _standing_mode(model):
 
 def test_wave_zero_state_stays_zero():
     model = WaveModel(16)
-    out = wave_step(model, model.state_from(np.zeros(15), np.zeros(15)), 0.0, 0.125)
+    out = grid_step(model, model.state_from(np.zeros(15), np.zeros(15)), 0.0, 0.125)
     assert np.array_equal(out.values, np.zeros(30))
 
 
@@ -107,7 +99,7 @@ def test_wave_energy_conserved_per_step():
     model = WaveModel(64)
     state = _standing_mode(model)
     e0 = wave_energy(model, state)
-    stepped = wave_step(model, state, 0.0, 1.0 / 128.0)
+    stepped = grid_step(model, state, 0.0, 1.0 / 128.0)
     assert wave_energy(model, stepped) == pytest.approx(e0, rel=1e-10)
 
 
@@ -117,7 +109,7 @@ def test_wave_energy_over_100_steps():
     e0 = wave_energy(model, state)
     dt = 1.0 / 128.0
     for i in range(100):
-        state = wave_step(model, state, i * dt, dt)
+        state = grid_step(model, state, i * dt, dt)
     assert wave_energy(model, state) == pytest.approx(e0, rel=1e-8)
 
 
@@ -128,15 +120,15 @@ def test_wave_energy_drift_over_1000_steps():
     e0 = wave_energy(model, state)
     dt = 1.0 / 64.0
     for i in range(1000):
-        state = wave_step(model, state, i * dt, dt)
+        state = grid_step(model, state, i * dt, dt)
     assert wave_energy(model, state) == pytest.approx(e0, rel=1e-8)
 
 
 def test_wave_time_reversal():
     model = WaveModel(48)
     state = _standing_mode(model)
-    forward = wave_step(model, state, 0.0, 0.02)
-    back = wave_step(model, forward, 0.02, -0.02)
+    forward = grid_step(model, state, 0.0, 0.02)
+    back = grid_step(model, forward, 0.02, -0.02)
     assert np.max(np.abs(back.values - state.values)) < 1e-10
 
 
@@ -145,7 +137,7 @@ def test_wave_matches_separated_solution():
     model = WaveModel(128)
     state = _standing_mode(model)
     spec = PropagatorSpec(model, "fine", steps_per_slice=512)
-    out = wave_propagate(model, spec, state, 0.0, 0.5)
+    out = grid_propagate(model, spec, state, 0.0, 0.5)
     u, v = model.split(out)
     want_u = np.sin(np.pi * model.grid_x) * np.cos(np.pi * 0.5)
     # second-order scheme; tolerance reflects dt^2 and dx^2 errors
@@ -160,43 +152,9 @@ def test_propagate_single_coarse_step_is_one_upwind_step():
     rng = np.random.default_rng(17)
     state = StateVector(model.layout(), rng.normal(size=256))
     spec = PropagatorSpec(model, "coarse", steps_per_slice=1)
-    via_propagate = advection_propagate(model, spec, state, 0.0, model.dx)
-    direct = advection_step(model, state, 0.0, model.dx)
+    via_propagate = grid_propagate(model, spec, state, 0.0, model.dx)
+    direct = grid_step(model, state, 0.0, model.dx)
     assert np.array_equal(via_propagate.values, direct.values)
-
-
-@pytest.mark.parametrize("bc", ["periodic", "inflow"])
-@pytest.mark.parametrize("source", [SourceTerm.zero(), SourceTerm.pulsed()], ids=["zero", "pulsed"])
-def test_advection_propagate_equals_step_loop_bitwise(bc, source):
-    """The hoisted source profile of advection_propagate gives the bits of
-    advection_step, which samples the source on every call."""
-    model = AdvectionModel(speed=1.0, n_cells=64, bc=bc, source=source)
-    spec = PropagatorSpec(model, "fine", steps_per_slice=20)
-    rng = np.random.default_rng(29)
-    state = StateVector(model.layout(), rng.normal(size=64))
-    t_from, t_to = 0.05, 0.3
-    span = t_to - t_from
-    want = state
-    for i in range(20):
-        want = advection_step(model, want, t_from + (i * span) / 20, span / 20)
-    got = advection_propagate(model, spec, state, t_from, t_to)
-    assert np.array_equal(got.values, want.values)
-
-
-def test_wave_propagate_equals_step_loop_bitwise():
-    """The cached factor of wave_propagate gives the bits of wave_step,
-    which factors I - dt^2/4 L on every call."""
-    model = WaveModel(32)
-    spec = PropagatorSpec(model, "fine", steps_per_slice=9)
-    rng = np.random.default_rng(31)
-    state = model.state_from(rng.normal(size=31), rng.normal(size=31))
-    t_from, t_to = 0.2, 0.65
-    want = state
-    for _ in range(9):
-        want = wave_step(model, want, 0.0, (t_to - t_from) / 9)
-    for _ in range(2):  # a cache miss, then a hit
-        got = wave_propagate(model, spec, state, t_from, t_to)
-        assert np.array_equal(got.values, want.values)
 
 
 def test_propagate_composes_across_slices():
@@ -204,9 +162,9 @@ def test_propagate_composes_across_slices():
     spec = PropagatorSpec(model, "fine", steps_per_slice=16)
     rng = np.random.default_rng(23)
     state = StateVector(model.layout(), rng.normal(size=64))
-    half = advection_propagate(model, spec, state, 0.0, 0.25)
-    two_slices = advection_propagate(model, spec, half, 0.25, 0.5)
-    whole = advection_propagate(model, PropagatorSpec(model, "fine", steps_per_slice=32), state, 0.0, 0.5)
+    half = grid_propagate(model, spec, state, 0.0, 0.25)
+    two_slices = grid_propagate(model, spec, half, 0.25, 0.5)
+    whole = grid_propagate(model, PropagatorSpec(model, "fine", steps_per_slice=32), state, 0.0, 0.5)
     assert np.max(np.abs(two_slices.values - whole.values)) < 1e-12
 
 
@@ -214,4 +172,4 @@ def test_propagate_validates_steps():
     model = WaveModel(16)
     state = model.state_from(np.zeros(15), np.zeros(15))
     with pytest.raises(ConfigError):
-        wave_propagate(model, PropagatorSpec(model, "fine", steps_per_slice=0), state, 0.0, 1.0)
+        grid_propagate(model, PropagatorSpec(model, "fine", steps_per_slice=0), state, 0.0, 1.0)

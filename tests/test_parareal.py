@@ -1,5 +1,7 @@
 import dataclasses
+import importlib
 import math
+import pkgutil
 import threading
 import time
 
@@ -15,6 +17,7 @@ from pitkit.core import (
     make_uniform_partition,
     propagate_slice,
 )
+import pitkit
 from pitkit import parareal
 from pitkit.heat import HeatModel, SourceTerm, implicit_system, sample_source
 from pitkit.parareal import (
@@ -27,7 +30,7 @@ from pitkit.parareal import (
 from pitkit.presets import build_parareal, experiment_preset
 from pitkit.spectral import ModeSource, SpectralModel
 
-from independent_sweeps import assert_sweeps_match_reordered
+from independent_sweeps import _clear_solver_caches, assert_sweeps_match_reordered
 
 
 def _heat_config(n_slices=6, guess="replicate_u0", coarse=True, **overrides):
@@ -225,6 +228,33 @@ def test_parallel_and_serial_fine_solves_agree_bitwise():
     """The fine solves of a sweep can run in any order, as parallel workers
     would run them: reversed order from cold caches gives the same bits."""
     assert_sweeps_match_reordered(_heat_config(guess="coarse_sweep"))
+
+
+def _pitkit_lru_caches():
+    """Every lru_cache-wrapped callable at module or class level in pitkit."""
+    caches = {}
+    for info in pkgutil.iter_modules(pitkit.__path__):
+        module = importlib.import_module(f"pitkit.{info.name}")
+        for name, obj in vars(module).items():
+            owners = [(name, obj)]
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                owners += [(f"{name}.{attr}", value) for attr, value in vars(obj).items()]
+            for label, value in owners:
+                if hasattr(value, "cache_info") and hasattr(value, "cache_clear"):
+                    caches[f"{module.__name__}.{label}"] = value
+    return caches
+
+
+def test_clearing_solver_caches_leaves_every_cache_cold():
+    """The reordered sweep's "cold caches" must cover every cache pitkit has."""
+    for name in ("heat-dirichlet-N6", "wave-N8", "advection-periodic-N12", "spectral-mG3"):
+        config = build_parareal(experiment_preset(name))
+        parareal_iterate(initialize_guess(config), config)
+    caches = _pitkit_lru_caches()
+    assert caches and any(cache.cache_info().currsize for cache in caches.values())
+    _clear_solver_caches()
+    warm = [name for name, cache in caches.items() if cache.cache_info().currsize]
+    assert not warm, f"caches left warm: {warm}"
 
 
 def test_run_starts_no_thread(monkeypatch):

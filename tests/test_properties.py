@@ -21,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pitkit.core import PropagatorSpec, StateVector, propagate_slice
-from pitkit.heat import HeatModel, SourceTerm, conserved_mean
-from pitkit.hyperbolic import AdvectionModel, WaveModel, advection_step, wave_energy
+from pitkit.heat import HeatModel, SourceTerm, conserved_mean, grid_step
+from pitkit.hyperbolic import AdvectionModel, WaveModel, wave_energy
 from pitkit.parareal import run
 from pitkit.presets import ExperimentConfig, build_parareal
 
@@ -177,7 +177,7 @@ def test_advection_at_unit_cfl_is_an_exact_shift(n_cells, speed, bc, shift, seed
     u = _random_values(seed, n_cells)
     state = StateVector(model.layout(), u)
     for i in range(shift):
-        state = advection_step(model, state, i * model.dx, model.dx / speed)
+        state = grid_step(model, state, i * model.dx, model.dx / speed)
     if bc == "periodic":
         want = np.roll(u, shift)
     else:

@@ -63,9 +63,12 @@ def render_trace(trace: IterationTrace, config: ExperimentConfig) -> str:
 def _write(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {out}: {exc}") from exc
 
 
 def _load_experiment(args) -> ExperimentConfig:

@@ -13,7 +13,9 @@ contracts only as fast as the underlying dynamics forget their past.
 The update is evaluated as fine + (g_new - g_old) on purpose: once an
 input stops changing the two coarse values cancel bitwise and the slice
 value locks to the sequential fine solution exactly, not merely to
-within roundoff.
+within roundoff.  Locked inputs are not recomputed: an input bitwise equal
+to the reference's takes the reference's next value as its fine value, and
+an input unchanged since the last sweep keeps its coarse value.
 """
 
 from __future__ import annotations
@@ -129,8 +131,14 @@ def initialize_guess(config: PararealConfig) -> tuple[StateVector, ...]:
     return tuple(values)
 
 
+def _same(a: StateVector, b: StateVector) -> bool:
+    """Bitwise equality; unlike ==, it tells -0.0 from +0.0."""
+    return a.values.tobytes() == b.values.tobytes()
+
+
 def parareal_iterate(old: tuple[StateVector, ...], config: PararealConfig,
                      g_old: Optional[tuple[StateVector, ...]] = None,
+                     reference: Optional[tuple[StateVector, ...]] = None,
                      ) -> tuple[tuple[StateVector, ...], Optional[tuple[StateVector, ...]]]:
     """One sweep from boundary values U^k to U^{k+1}: the fine solves from
     the old values, each depending only on its own slice and input, then
@@ -140,11 +148,18 @@ def parareal_iterate(old: tuple[StateVector, ...], config: PararealConfig,
     Returns U^{k+1} and the coarse values G(U^{k+1}_n) of slices 0..N-1,
     which the next sweep takes as ``g_old``; the coarse values are None
     without a coarse propagator.  ``g_old`` holds G(U^k_n); when it is None
-    the sweep computes it.  The propagators are deterministic, so carried
-    and recomputed coarse values are bitwise equal.
+    the sweep computes it.  Where U^{k+1}_n is bitwise U^k_n, G(U^{k+1}_n)
+    is ``g_old[n]``.  ``reference`` holds the sequential fine values; where
+    U^k_n is bitwise the reference's, F(U^k_n) is its next value.  The
+    propagators are deterministic, so every carried value is bitwise the
+    one a recompute would give.
     """
     n_slices = config.partition.n_slices
-    fine_values = [_propagate(config, config.fine, old[n], n) for n in range(n_slices)]
+    fine_values = [
+        reference[n + 1] if reference is not None and _same(old[n], reference[n])
+        else _propagate(config, config.fine, old[n], n)
+        for n in range(n_slices)
+    ]
 
     new = [config.u0]
     coarse = config.coarse
@@ -155,7 +170,7 @@ def parareal_iterate(old: tuple[StateVector, ...], config: PararealConfig,
         g_old = tuple(_propagate(config, coarse, old[n], n) for n in range(n_slices))
     g_new = []
     for n in range(n_slices):
-        g_new.append(_propagate(config, coarse, new[n], n))
+        g_new.append(g_old[n] if _same(new[n], old[n]) else _propagate(config, coarse, new[n], n))
         new.append(fine_values[n] + (g_new[n] - g_old[n]))
     return tuple(new), tuple(g_new)
 
@@ -193,7 +208,7 @@ def run(config: PararealConfig, *,
         if config.tolerance > 0.0 and errors[-1].max() <= config.tolerance:
             break
         start = time.perf_counter()
-        values, g_values = parareal_iterate(values, config, g_values)
+        values, g_values = parareal_iterate(values, config, g_values, reference)
         record(k, values, start)
         if on_iteration is not None:
             on_iteration(k, values)

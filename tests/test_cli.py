@@ -223,6 +223,19 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--preset", "spectral-mG3"],
+    ["factors"],
+    ["solution-field", "--preset", "heat-dirichlet"],
+])
+def test_unwritable_out_exits_2_without_traceback(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out: cannot write {out}: ")
+    assert "Traceback" not in err
+
+
 def test_bc_alias_for_inflow_wall(tmp_path):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(

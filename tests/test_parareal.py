@@ -426,11 +426,19 @@ def test_heat_without_coarse_errors_never_grow():
 # ------------------------------------------------------------------ cost
 
 
-@pytest.mark.parametrize("guess", ["coarse_sweep", "zero"])
-def test_run_makes_one_coarse_call_per_slice_per_sweep(monkeypatch, guess):
-    """Each sweep's G(U^k_n) is carried into the next sweep as g_old, so a
-    run makes N(K+1) coarse propagations, as many as fine ones (the
-    sequential reference included)."""
+@pytest.mark.parametrize("guess, coarse, max_iterations", [
+    ("coarse_sweep", True, 4),
+    ("zero", True, 4),
+    ("replicate_u0", True, 4),
+    ("random", True, 4),
+    ("replicate_u0", False, 9),
+])
+def test_run_propagates_only_unlocked_inputs(monkeypatch, guess, coarse, max_iterations):
+    """After k - 1 sweeps inputs 0..k-1 are locked, so sweep k propagates
+    only the other max(N - k, 0): a locked input's F is the reference's
+    next value and an unchanged input's G is the last sweep's.  A run makes
+    N + sum_k max(N - k, 0) fine propagations, the sequential reference
+    included, and as many coarse ones; sweeps with k >= N make none."""
     calls = {"fine": 0, "coarse": 0}
     propagate = parareal.propagate_slice
 
@@ -439,10 +447,17 @@ def test_run_makes_one_coarse_call_per_slice_per_sweep(monkeypatch, guess):
         return propagate(model, spec, state, t0, t1)
 
     monkeypatch.setattr(parareal, "propagate_slice", counting)
-    config = _heat_config(n_slices=6, guess=guess, max_iterations=4)
-    trace = run(config)
-    assert len(trace.iterations()) == 5
-    assert calls == {"fine": 6 * 5, "coarse": 6 * 5}
+    config = _heat_config(n_slices=6, guess=guess, coarse=coarse, max_iterations=max_iterations)
+    after_sweep = []
+    trace = run(config, on_iteration=lambda k, values: after_sweep.append(dict(calls)))
+    n = config.partition.n_slices
+    unlocked = [max(n - k, 0) for k in range(1, max_iterations + 1)]
+    total = n + sum(unlocked)
+    assert len(trace.iterations()) == max_iterations + 1
+    assert calls == {"fine": total, "coarse": total if coarse else 0}
+    for k in range(2, max_iterations + 1):
+        made = {role: after_sweep[k - 1][role] - after_sweep[k - 2][role] for role in calls}
+        assert made == {"fine": unlocked[k - 1], "coarse": unlocked[k - 1] if coarse else 0}, k
 
 
 def test_initial_guess_is_timed_in_row_zero(monkeypatch):

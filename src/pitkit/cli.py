@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Optional
 
@@ -60,6 +61,19 @@ def render_trace(trace: IterationTrace, config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_out(out: Optional[str]) -> None:
+    """Fail before any computation when --out's directory is missing or
+    --out is a directory.  The file itself is created only once its text
+    is ready, so a failed run leaves none behind."""
+    if out is None:
+        return
+    directory = os.path.dirname(out) or os.curdir
+    if not os.path.isdir(directory):
+        raise ConfigError(f"--out: cannot write {out}: no directory {directory}")
+    if os.path.isdir(out):
+        raise ConfigError(f"--out: cannot write {out}: it is a directory")
+
+
 def _write(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -87,6 +101,7 @@ def _load_experiment(args) -> ExperimentConfig:
 
 def cmd_run(args) -> int:
     config = _load_experiment(args)
+    _check_out(args.out)
     trace = run_parareal(build_parareal(config))
     _write(render_trace(trace, config), args.out)
     return 0
@@ -134,6 +149,7 @@ def cmd_factors(args) -> int:
 
 def cmd_solution_field(args) -> int:
     config = field_preset(args.preset)
+    _check_out(args.out)
     parareal = build_parareal(config)
     grid_x = parareal.fine.model.grid_x
     lines = [FIELD_HEADER, *_header_lines(config.echo()), "x,t,u"]

@@ -198,12 +198,13 @@ class PropagatorSpec:
 
 
 @functools.singledispatch
-def propagate_slice(model, spec: PropagatorSpec, state: StateVector,
-                    t_from: float, t_to: float) -> StateVector:
-    """Advance ``state`` from t_from to t_to with the given model.
+def propagate_slice(model, spec: PropagatorSpec, states: np.ndarray,
+                    t_from, t_to) -> np.ndarray:
+    """Advance each row i of the stack ``states[m, size]`` from t_from[i]
+    to t_to[i] with the given model; returns the new stack.
 
     Model modules register concrete implementations; the driver only ever
-    calls this entry point.
+    calls this entry point, once per stack of slices of equal length.
     """
     raise TypeError(f"no propagator registered for {type(model).__name__}")
 

@@ -24,7 +24,7 @@ from .heat import (
     TridiagonalSystem,
     _source_profile,
     _ThomasFactor,
-    grid_propagate,
+    grid_propagate_stack,
     identity_minus,
 )
 
@@ -68,24 +68,26 @@ class AdvectionModel:
         return StateVector(self.layout(), np.zeros(self.n_cells))
 
     def stepper(self, dt: float):
-        """Upwind step u_j <- u_j - nu*(u_j - u_{j-1}) + dt*f(x_j, t) on raw
-        value arrays, with nu = speed*dt/dx, which must not exceed 1; at
-        nu = 1 the step is an exact shift by one cell."""
+        """Upwind step u_j <- u_j - nu*(u_j - u_{j-1}) + dt*f(x_j, t) on a
+        stack u[m, n] of value arrays whose row i starts at time t[i], with
+        nu = speed*dt/dx, which must not exceed 1; at nu = 1 the step is an
+        exact shift by one cell."""
         nu = self.speed * dt / self.dx
         if nu > 1.0 + 1e-12:
             raise ConfigError(f"CFL number {nu:.6g} exceeds 1; shrink dt or the speed")
         periodic = self.bc == "periodic"
         source, profile = self.source, _source_profile(self)
 
-        def step(u: np.ndarray, t: float) -> np.ndarray:
+        def step(u: np.ndarray, t: list[float]) -> np.ndarray:
             if periodic:
-                upstream = np.roll(u, 1)
+                upstream = np.roll(u, 1, axis=1)
             else:
-                upstream = np.concatenate(([0.0], u[:-1]))
+                upstream = np.concatenate((np.zeros((len(u), 1)), u[:, :-1]), axis=1)
             # convex form so nu = 1 reduces to upstream exactly, with no rounding
             new = (1.0 - nu) * u + nu * upstream
             if profile is not None:
-                new = new + dt * (profile * source.time_profile(t))
+                pulses = np.array([source.time_profile(s) for s in t])
+                new = new + dt * (profile * pulses[:, None])
             return new
         return step
 
@@ -129,8 +131,8 @@ class WaveModel:
         return HeatModel(self.n_cells, "dirichlet").laplacian()
 
     def stepper(self, dt: float):
-        """Trapezoidal step of the first-order system on raw (u, v) value
-        arrays, with I - dt^2/4 L factored here once.
+        """Trapezoidal step of the first-order system on a stack w[m, 2n]
+        of (u, v) value arrays, with I - dt^2/4 L factored here once.
 
         For this linear system the trapezoidal rule coincides with the
         implicit midpoint rule, so the quadratic energy below is conserved
@@ -140,13 +142,13 @@ class WaveModel:
         factor = _ThomasFactor(identity_minus(lap, 0.25 * dt * dt))
         n = lap.n
 
-        def step(w: np.ndarray, t: float) -> np.ndarray:
-            u, v = w[:n], w[n:]
+        def step(w: np.ndarray, t: list[float]) -> np.ndarray:
+            u, v = w[:, :n], w[:, n:]
             p = u + 0.5 * dt * v
             q = v + 0.5 * dt * lap.matvec(u)
             v_new = factor.solve(q + 0.5 * dt * lap.matvec(p))
             u_new = p + 0.5 * dt * v_new
-            return np.concatenate([u_new, v_new])
+            return np.concatenate([u_new, v_new], axis=1)
         return step
 
 
@@ -159,5 +161,5 @@ def wave_energy(model: WaveModel, state: StateVector) -> float:
     return float(model.dx * np.dot(v, v) + np.dot(d, d) / model.dx)
 
 
-propagate_slice.register(AdvectionModel, grid_propagate)
-propagate_slice.register(WaveModel, grid_propagate)
+propagate_slice.register(AdvectionModel, grid_propagate_stack)
+propagate_slice.register(WaveModel, grid_propagate_stack)

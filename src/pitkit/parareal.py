@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -38,7 +38,8 @@ from .core import (
     zeros_like,
 )
 from .factors import iteration_error_bound
-from .spectral import SpectralModel
+from .heat import check_layout
+from .spectral import SpectralModel, check_mode_layout
 
 GUESS_KINDS = ("default", "zero", "replicate_u0", "coarse_sweep", "random")
 
@@ -71,6 +72,12 @@ class PararealConfig:
                 isinstance(coarse.model, SpectralModel) and coarse.mode_count == 0)):
             coarse = None
             object.__setattr__(self, "coarse", None)
+        # propagators see raw value stacks, not layouts, so the layout the
+        # run's states share is checked here, once
+        if isinstance(self.fine.model, SpectralModel):
+            check_mode_layout(self.fine.model, self.u0)
+        elif hasattr(self.fine.model, "layout"):
+            check_layout(self.fine.model, self.u0)
         if self.initial_guess not in GUESS_KINDS:
             raise ConfigError(
                 f"unknown initial_guess {self.initial_guess!r}, expected one of {GUESS_KINDS}"
@@ -93,18 +100,30 @@ class PararealConfig:
         return "coarse_sweep" if self.coarse is not None else "replicate_u0"
 
 
-def _propagate(config: PararealConfig, spec: PropagatorSpec, state: StateVector,
-               n: int) -> StateVector:
-    """Advance ``state`` across slice n with the given propagator."""
-    t0, t1 = config.partition.slice_bounds(n)
-    return propagate_slice(spec.model, spec, state, t0, t1)
+def _propagate(config: PararealConfig, spec: PropagatorSpec,
+               states: Sequence[StateVector], slices: Sequence[int]) -> list[StateVector]:
+    """Advance ``states[i]`` across slice ``slices[i]`` with the given
+    propagator.  States whose slices have bitwise the same length share a
+    substep length, and so one stacked ``propagate_slice`` call; a length
+    that differs in any bit gets a stack of its own."""
+    stacks: dict[float, list[tuple[int, float, float]]] = {}
+    for i, n in enumerate(slices):
+        t0, t1 = config.partition.slice_bounds(n)
+        stacks.setdefault(t1 - t0, []).append((i, t0, t1))
+    out: list[StateVector] = [None] * len(slices)
+    for rows in stacks.values():
+        index, t_from, t_to = zip(*rows)
+        stack = np.array([states[i].values for i in index])
+        for i, values in zip(index, propagate_slice(spec.model, spec, stack, t_from, t_to)):
+            out[i] = states[i].with_values(values)
+    return out
 
 
 def _sequential(config: PararealConfig, spec: PropagatorSpec) -> tuple[StateVector, ...]:
     """Slice boundary values of a plain sequential run of one propagator."""
     values = [config.u0]
     for n in range(config.partition.n_slices):
-        values.append(_propagate(config, spec, values[n], n))
+        values.append(_propagate(config, spec, [values[n]], [n])[0])
     return tuple(values)
 
 
@@ -141,9 +160,9 @@ def parareal_iterate(old: tuple[StateVector, ...], config: PararealConfig,
                      reference: Optional[tuple[StateVector, ...]] = None,
                      ) -> tuple[tuple[StateVector, ...], Optional[tuple[StateVector, ...]]]:
     """One sweep from boundary values U^k to U^{k+1}: the fine solves from
-    the old values, each depending only on its own slice and input, then
-    the in-order coarse correction (or a plain copy-forward without a
-    coarse propagator).
+    the old values, each depending only on its own slice and input, so
+    they run as one stacked call per slice length; then the in-order coarse
+    correction (or a plain copy-forward without a coarse propagator).
 
     Returns U^{k+1} and the coarse values G(U^{k+1}_n) of slices 0..N-1,
     which the next sweep takes as ``g_old``; the coarse values are None
@@ -155,11 +174,10 @@ def parareal_iterate(old: tuple[StateVector, ...], config: PararealConfig,
     one a recompute would give.
     """
     n_slices = config.partition.n_slices
-    fine_values = [
-        reference[n + 1] if reference is not None and _same(old[n], reference[n])
-        else _propagate(config, config.fine, old[n], n)
-        for n in range(n_slices)
-    ]
+    locked = [reference is not None and _same(old[n], reference[n]) for n in range(n_slices)]
+    unlocked = [n for n in range(n_slices) if not locked[n]]
+    computed = iter(_propagate(config, config.fine, [old[n] for n in unlocked], unlocked))
+    fine_values = [reference[n + 1] if locked[n] else next(computed) for n in range(n_slices)]
 
     new = [config.u0]
     coarse = config.coarse
@@ -167,10 +185,10 @@ def parareal_iterate(old: tuple[StateVector, ...], config: PararealConfig,
         new.extend(fine_values)
         return tuple(new), None
     if g_old is None:
-        g_old = tuple(_propagate(config, coarse, old[n], n) for n in range(n_slices))
+        g_old = tuple(_propagate(config, coarse, old[:n_slices], range(n_slices)))
     g_new = []
     for n in range(n_slices):
-        g_new.append(g_old[n] if _same(new[n], old[n]) else _propagate(config, coarse, new[n], n))
+        g_new.append(g_old[n] if _same(new[n], old[n]) else _propagate(config, coarse, [new[n]], [n])[0])
         new.append(fine_values[n] + (g_new[n] - g_old[n]))
     return tuple(new), tuple(g_new)
 
@@ -188,12 +206,16 @@ def run(config: PararealConfig, *,
     boundaries falls below config.tolerance.
     """
     reference = reference_fine_sequential(config)
+    # a value bitwise equal to a finite reference value has error exactly
+    # +0.0, so its norm is not taken; a non-finite one still gives NaN
+    finite = [bool(np.isfinite(r.values).all()) for r in reference]
     errors: list[np.ndarray] = []
     wall_time_ms: list[float] = []
 
     def record(k: int, values: tuple[StateVector, ...], start: float) -> None:
         wall_time_ms.append((time.perf_counter() - start) * 1e3)
-        row = np.array([discrete_l2_norm(v - r) for v, r in zip(values, reference)])
+        row = np.array([0.0 if finite[n] and _same(v, r) else discrete_l2_norm(v - r)
+                        for n, (v, r) in enumerate(zip(values, reference))])
         if not np.isfinite(row.max()):
             raise NumericalError(f"iteration {k} produced a non-finite error {row.max()}")
         errors.append(row)

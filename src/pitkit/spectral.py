@@ -181,33 +181,48 @@ def exact_mode_solution(rate: float, u0: float, source_fn: Optional[Callable],
     return u0 * math.exp(-rate * (t - t_from)) + source_mode_integral(rate, source_fn, t_from, t)
 
 
-def spectral_propagate(model: SpectralModel, spec: PropagatorSpec, state: StateVector,
-                       t_from: float, t_to: float) -> StateVector:
-    """Advance the first spec.mode_count modes exactly; zero the rest."""
+def check_mode_layout(model: SpectralModel, state: StateVector):
+    """A spectral model's state must hold modes of its basis on its interval."""
     layout = state.layout
     if not isinstance(layout, ModeLayout) or layout.basis != model.basis or layout.length != model.length:
         raise ValueError(f"state layout {layout} does not fit model {model}")
-    if not t_to > t_from:
-        raise ValueError(f"need t_to > t_from, got [{t_from}, {t_to}]")
+
+
+def spectral_propagate_stack(model: SpectralModel, spec: PropagatorSpec, states: np.ndarray,
+                             t_from, t_to) -> np.ndarray:
+    """Advance the first spec.mode_count modes of each row i of the stack
+    states[m, size] exactly from t_from[i] to t_to[i], one row at a time;
+    zero the rest."""
     kept = spec.mode_count
-    if kept > layout.size:
-        raise ConfigError(f"mode_count {kept} exceeds the state's {layout.size} modes")
-    values = np.zeros(layout.size)
-    span = t_to - t_from
+    if kept > states.shape[-1]:
+        raise ConfigError(f"mode_count {kept} exceeds the state's {states.shape[-1]} modes")
+    out = np.zeros(states.shape)
     positions = np.arange(kept)
     modes = positions + 1 if model.basis == "sine" else positions
     rates = model.decay_rate(modes)
-    values[:kept] = state.values[:kept] * np.exp(-rates * span)
-    if model.source.kind != "zero":
-        for position in range(kept):
-            m = int(modes[position])
-            fn = model.source.mode_function(m)
-            if fn is not None:
-                values[position] += source_mode_integral(rates[position], fn, t_from, t_to)
-    return StateVector(layout, values)
+    for u, values, t0, t1 in zip(states, out, np.asarray(t_from, dtype=float).tolist(),
+                                 np.asarray(t_to, dtype=float).tolist(), strict=True):
+        if not t1 > t0:
+            raise ValueError(f"need t_to > t_from, got [{t0}, {t1}]")
+        values[:kept] = u[:kept] * np.exp(-rates * (t1 - t0))
+        if model.source.kind != "zero":
+            for position in range(kept):
+                fn = model.source.mode_function(int(modes[position]))
+                if fn is not None:
+                    values[position] += source_mode_integral(rates[position], fn, t0, t1)
+    return out
 
 
-propagate_slice.register(SpectralModel, spectral_propagate)
+def spectral_propagate(model: SpectralModel, spec: PropagatorSpec, state: StateVector,
+                       t_from: float, t_to: float) -> StateVector:
+    """Advance one mode state across [t_from, t_to]: the one-row stack of
+    ``spectral_propagate_stack``."""
+    check_mode_layout(model, state)
+    out = spectral_propagate_stack(model, spec, state.values[None], [t_from], [t_to])
+    return state.with_values(out[0])
+
+
+propagate_slice.register(SpectralModel, spectral_propagate_stack)
 
 
 # --------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 A sweep's fine solves may run on separate workers only if each depends on
 nothing but its own slice and input.  ``reordered_sweep`` recomputes a
-sweep with every solver cache cleared and the fine solves in reversed slice
-order; ``assert_sweeps_match_reordered`` compares it bitwise with the
-boundary values ``run`` records after every sweep.
+sweep with every solver cache cleared and the fine solves one slice at a
+time, as one-row stacks, in reversed slice order;
+``assert_sweeps_match_reordered`` compares it bitwise with the boundary
+values ``run`` records after every sweep, whose fine solves share stacks.
 """
 
 from pitkit import heat
@@ -16,6 +17,12 @@ def _clear_solver_caches():
     heat._cached_stepper.cache_clear()
 
 
+def _propagate_one(spec, state, bounds):
+    """One state across one slice, as a one-row stack."""
+    out = propagate_slice(spec.model, spec, state.values[None], [bounds[0]], [bounds[1]])
+    return state.with_values(out[0])
+
+
 def reordered_sweep(config, old):
     """U^{k+1} from U^k = ``old``: fine solves in reversed slice order from
     cold caches, then the in-order correction F_n + (G(new_n) - G(old_n)),
@@ -24,15 +31,15 @@ def reordered_sweep(config, old):
     _clear_solver_caches()
     fine_values = {}
     for n in reversed(range(partition.n_slices)):
-        fine_values[n] = propagate_slice(fine.model, fine, old[n], *partition.slice_bounds(n))
+        fine_values[n] = _propagate_one(fine, old[n], partition.slice_bounds(n))
     new = [config.u0]
     for n in range(partition.n_slices):
         if coarse is None:
             new.append(fine_values[n])
             continue
         bounds = partition.slice_bounds(n)
-        g_new = propagate_slice(coarse.model, coarse, new[n], *bounds)
-        g_old = propagate_slice(coarse.model, coarse, old[n], *bounds)
+        g_new = _propagate_one(coarse, new[n], bounds)
+        g_old = _propagate_one(coarse, old[n], bounds)
         new.append(fine_values[n] + (g_new - g_old))
     return tuple(new)
 

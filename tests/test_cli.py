@@ -6,7 +6,9 @@ from dataclasses import replace
 
 import pytest
 
+from pitkit import cli
 from pitkit.cli import FACTORS_HEADER, FIELD_HEADER, TRACE_HEADER, main
+from pitkit.core import NumericalError
 from pitkit.presets import (
     experiment_preset,
     experiment_preset_names,
@@ -234,6 +236,32 @@ def test_unwritable_out_exits_2_without_traceback(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith(f"error: --out: cannot write {out}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, computation", [
+    (["run", "--preset", "heat-dirichlet-N48"], "run_parareal"),
+    (["solution-field", "--preset", "heat-dirichlet"], "reference_fine_sequential"),
+])
+def test_unwritable_out_fails_before_computing(tmp_path, capsys, monkeypatch, argv, computation):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{computation} ran although --out cannot be written")
+
+    monkeypatch.setattr(cli, computation, never)
+    out = tmp_path / "missing" / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --out: cannot write {out}: no directory {out.parent}\n"
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: --out: cannot write {tmp_path}: it is a directory\n"
+
+
+def test_failed_run_leaves_no_out_file(tmp_path, monkeypatch):
+    def failing(config):
+        raise NumericalError("diverged")
+
+    monkeypatch.setattr(cli, "run_parareal", failing)
+    out = tmp_path / "x.csv"
+    assert main(["run", "--preset", "spectral-mG3", "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_bc_alias_for_inflow_wall(tmp_path):

@@ -18,8 +18,8 @@ from pitkit.core import (
     propagate_slice,
 )
 import pitkit
-from pitkit import parareal
-from pitkit.heat import HeatModel, SourceTerm, implicit_system, sample_source
+from pitkit import heat, parareal
+from pitkit.heat import HeatModel, SourceTerm, grid_propagate, implicit_system, sample_source
 from pitkit.parareal import (
     PararealConfig,
     initialize_guess,
@@ -27,7 +27,7 @@ from pitkit.parareal import (
     reference_fine_sequential,
     run,
 )
-from pitkit.presets import build_parareal, experiment_preset
+from pitkit.presets import ExperimentConfig, build_parareal, experiment_preset
 from pitkit.spectral import ModeSource, SpectralModel
 
 from independent_sweeps import _clear_solver_caches, assert_sweeps_match_reordered
@@ -230,6 +230,27 @@ def test_parallel_and_serial_fine_solves_agree_bitwise():
     assert_sweeps_match_reordered(_heat_config(guess="coarse_sweep"))
 
 
+def test_wide_wave_stacks_match_reordered_sweeps(monkeypatch):
+    """Wave sweeps with at least STACKED_SOLVE_MIN_ROWS unlocked slices take
+    the stacked Thomas sweep and still give the bits of one-row solves in
+    reversed slice order."""
+    widths = []
+    solve_stack = heat._ThomasFactor._solve_stack
+
+    def counting(self, rows):
+        widths.append(len(rows))
+        return solve_stack(self, rows)
+
+    monkeypatch.setattr(heat._ThomasFactor, "_solve_stack", counting)
+    n_slices = heat.STACKED_SOLVE_MIN_ROWS + 2
+    config = build_parareal(ExperimentConfig(
+        model_kind="wave", n_cells=16, source_kind="zero", initial_kind="modes",
+        initial_modes=((1, 1.0), (3, 0.5)), t_end=n_slices / 16, n_slices=n_slices,
+        fine_steps=4, coarse_role="none", iterations=3))
+    assert_sweeps_match_reordered(config)
+    assert widths and min(widths) >= heat.STACKED_SOLVE_MIN_ROWS
+
+
 def _pitkit_lru_caches():
     """Every lru_cache-wrapped callable at module or class level in pitkit."""
     caches = {}
@@ -281,7 +302,7 @@ def test_coarse_sweep_guess_is_sequential_coarse_run():
     config = _heat_config(guess="coarse_sweep")
     state = initialize_guess(config)
     t0, t1 = config.partition.slice_bounds(0)
-    want = propagate_slice(config.coarse.model, config.coarse, config.u0, t0, t1)
+    want = grid_propagate(config.coarse.model, config.coarse, config.u0, t0, t1)
     assert np.array_equal(state[1].values, want.values)
     assert len(state) == config.partition.n_slices + 1
 
@@ -359,13 +380,29 @@ def test_wrong_role_rejected():
         )
 
 
+def test_u0_that_does_not_fit_the_model_is_rejected():
+    """Propagators see raw stacks, so the layout is checked with the config:
+    a Neumann state of 15 unknowns does not fit a Dirichlet model of 15, nor
+    a cosine-mode state a sine model."""
+    heat_model = HeatModel(n_cells=16, bc="dirichlet")
+    spectral_model = SpectralModel(basis="sine")
+    for u0, spec in (
+        (HeatModel(n_cells=14, bc="neumann").zero_state(),
+         PropagatorSpec(heat_model, "fine", steps_per_slice=2)),
+        (SpectralModel(basis="cosine").zero_state(4),
+         PropagatorSpec(spectral_model, "fine", mode_count=4)),
+    ):
+        with pytest.raises(ValueError, match="does not fit"):
+            run(PararealConfig(make_uniform_partition(1.0, 2), u0, spec))
+
+
 class _NanAfterOne:
     """Identity propagator that returns NaN for slices ending after t = 1."""
 
 
 propagate_slice.register(
     _NanAfterOne,
-    lambda model, spec, state, t0, t1: state.scaled(math.nan if t1 > 1.0 else 1.0),
+    lambda model, spec, states, t0, t1: states * np.where(np.asarray(t1) > 1.0, math.nan, 1.0)[:, None],
 )
 
 
@@ -438,13 +475,17 @@ def test_run_propagates_only_unlocked_inputs(monkeypatch, guess, coarse, max_ite
     only the other max(N - k, 0): a locked input's F is the reference's
     next value and an unchanged input's G is the last sweep's.  A run makes
     N + sum_k max(N - k, 0) fine propagations, the sequential reference
-    included, and as many coarse ones; sweeps with k >= N make none."""
+    included, and as many coarse ones; sweeps with k >= N make none.  The
+    slices are equally long, so each sweep stacks its fine propagations
+    into one call."""
     calls = {"fine": 0, "coarse": 0}
+    stacks = {"fine": 0, "coarse": 0}
     propagate = parareal.propagate_slice
 
-    def counting(model, spec, state, t0, t1):
-        calls[spec.role] += 1
-        return propagate(model, spec, state, t0, t1)
+    def counting(model, spec, states, t0, t1):
+        calls[spec.role] += len(states)
+        stacks[spec.role] += 1
+        return propagate(model, spec, states, t0, t1)
 
     monkeypatch.setattr(parareal, "propagate_slice", counting)
     config = _heat_config(n_slices=6, guess=guess, coarse=coarse, max_iterations=max_iterations)
@@ -455,6 +496,7 @@ def test_run_propagates_only_unlocked_inputs(monkeypatch, guess, coarse, max_ite
     total = n + sum(unlocked)
     assert len(trace.iterations()) == max_iterations + 1
     assert calls == {"fine": total, "coarse": total if coarse else 0}
+    assert stacks["fine"] == n + min(max_iterations, n - 1)
     for k in range(2, max_iterations + 1):
         made = {role: after_sweep[k - 1][role] - after_sweep[k - 2][role] for role in calls}
         assert made == {"fine": unlocked[k - 1], "coarse": unlocked[k - 1] if coarse else 0}, k

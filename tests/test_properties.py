@@ -8,9 +8,12 @@ random small configurations instead of the named presets.
   own slice and input (criterion 9);
 - the Neumann heat propagator conserves the trapezoidal mean with zero
   source, the wave propagator conserves the discrete energy, and upwind
-  advection at CFL number 1 is an exact shift (criterion 10).
+  advection at CFL number 1 is an exact shift (criterion 10);
+- a stacked Thomas solve gives the bits of row-by-row solves, and a sweep's
+  stacked fine march the bits of one slice at a time (criterion 10).
 
-Slice counts stay at 8 or below, so each example runs quickly.
+Slice counts stay at 8 or below, except in the stacked-march property, and
+grids stay small, so each example runs quickly.
 """
 
 import math
@@ -20,10 +23,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pitkit.core import PropagatorSpec, StateVector, propagate_slice
-from pitkit.heat import HeatModel, SourceTerm, conserved_mean, grid_step
+from pitkit.core import PropagatorSpec, StateVector, make_uniform_partition
+from pitkit.heat import (
+    STACKED_SOLVE_MIN_ROWS,
+    HeatModel,
+    SourceTerm,
+    _ThomasFactor,
+    conserved_mean,
+    grid_propagate,
+    grid_step,
+    implicit_system,
+)
 from pitkit.hyperbolic import AdvectionModel, WaveModel, wave_energy
-from pitkit.parareal import run
+from pitkit.parareal import PararealConfig, parareal_iterate, run
 from pitkit.presets import ExperimentConfig, build_parareal
 
 from independent_sweeps import assert_sweeps_match_reordered
@@ -150,7 +162,7 @@ def test_neumann_heat_conserves_the_mean_without_source(n_cells, steps, t_from, 
     model = HeatModel(n_cells, "neumann", SourceTerm.zero())
     spec = PropagatorSpec(model, "fine", steps_per_slice=steps)
     state = StateVector(model.layout(), _random_values(seed, model.n_unknowns))
-    out = propagate_slice(model, spec, state, t_from, t_from + span)
+    out = grid_propagate(model, spec, state, t_from, t_from + span)
     # each solve may move the mean by roundoff in the scale of the system's entries
     stiffness = 1.0 + 4.0 * (span / steps) / model.dx**2
     tolerance = 8 * steps * stiffness * np.finfo(float).eps
@@ -164,7 +176,7 @@ def test_wave_propagator_conserves_energy(n_cells, steps, t_from, span, seed):
     model = WaveModel(n_cells)
     spec = PropagatorSpec(model, "fine", steps_per_slice=steps)
     state = StateVector(model.layout(), _random_values(seed, model.layout().size))
-    out = propagate_slice(model, spec, state, t_from, t_from + span)
+    out = grid_propagate(model, spec, state, t_from, t_from + span)
     assert wave_energy(model, out) == pytest.approx(wave_energy(model, state), rel=1e-11)
 
 
@@ -184,3 +196,73 @@ def test_advection_at_unit_cfl_is_an_exact_shift(n_cells, speed, bc, shift, seed
         want = np.concatenate((np.zeros(min(shift, n_cells)), u[: max(n_cells - shift, 0)]))
     assert np.array_equal(state.values, want)
 
+
+
+@PROPERTY
+@given(n_cells=st.integers(2, 40), bc=st.sampled_from(["dirichlet", "neumann"]),
+       dt=st.floats(1e-4, 1.0), width=st.integers(1, 2 * STACKED_SOLVE_MIN_ROWS),
+       seed=st.integers(0, 2**16))
+def test_stacked_thomas_solve_equals_row_by_row(n_cells, bc, dt, width, seed):
+    """Below STACKED_SOLVE_MIN_ROWS rows a stack is solved row by row, from
+    there on by one sweep across the stack; either way each row gets the
+    bits of its own one-row solve, signed zeros included."""
+    factor = _ThomasFactor(implicit_system(HeatModel(n_cells, bc), dt))
+    rng = np.random.default_rng(seed)
+    rhs = rng.uniform(-1.0, 1.0, (width, factor.n))
+    rhs[rng.random(rhs.shape) < 0.2] = 0.0
+    rhs[rng.random(rhs.shape) < 0.2] = -0.0
+    got = factor.solve(rhs)
+    assert got.shape == rhs.shape
+    for row, values in zip(rhs, got):
+        assert values.tobytes() == factor.solve(row).tobytes()
+
+
+# (n_slices, t_end) of the stacked-march property: 1/7 is no binary
+# fraction, so slice lengths differ in the last bit and split into several
+# stacks; n/16 gives slices of exactly 1/16, one stack on each side of the
+# width threshold
+_MARCH_PARTITIONS = [(7, 1.0)] + [
+    (n, n / 16) for n in (STACKED_SOLVE_MIN_ROWS - 1, STACKED_SOLVE_MIN_ROWS, 2 * STACKED_SOLVE_MIN_ROWS)]
+
+
+def _march_model(case, n_cells, cells_per_step):
+    """The model of one stacked-march case; advection gets the grid that
+    makes its CFL number 1 or about 1/2."""
+    pulsed = SourceTerm.pulsed()
+    if case.startswith("heat"):
+        return HeatModel(n_cells, case.split("-")[1], pulsed)
+    if case == "wave":
+        return WaveModel(n_cells)
+    _, bc, cfl = case.split("-")
+    cells = cells_per_step if cfl == "nu1" else max(2, cells_per_step // 2)
+    return AdvectionModel(1.0, cells, bc, pulsed)
+
+
+@pytest.mark.parametrize("case", [
+    "heat-dirichlet", "heat-neumann", "advection-periodic-nu1", "advection-periodic-nuhalf",
+    "advection-inflow-nu1", "advection-inflow-nuhalf", "wave"])
+@settings(max_examples=12, deadline=None)
+@given(partition=st.sampled_from(_MARCH_PARTITIONS), steps=st.integers(1, 3),
+       n_cells=st.integers(2, 16), seed=st.integers(0, 2**16))
+def test_stacked_march_equals_per_slice_steps(case, partition, steps, n_cells, seed):
+    """A sweep propagates all its slices in stacks, one per slice length;
+    every boundary gets the bits of stepping its slice alone with
+    ``grid_step``, which builds a fresh stepper for every step."""
+    n_slices, t_end = partition
+    model = _march_model(case, n_cells, round(steps * n_slices / t_end))
+    spec = PropagatorSpec(model, "fine", steps_per_slice=steps)
+    rng = np.random.default_rng(seed)
+    size = model.layout().size
+    old = tuple(StateVector(model.layout(), rng.uniform(-1.0, 1.0, size)) for _ in range(n_slices + 1))
+    config = PararealConfig(make_uniform_partition(t_end, n_slices), old[0], spec)
+    new, _ = parareal_iterate(old, config)
+    lengths = set()
+    for n in range(n_slices):
+        t_from, t_to = config.partition.slice_bounds(n)
+        span = t_to - t_from
+        lengths.add(span)
+        want = old[n]
+        for i in range(steps):
+            want = grid_step(model, want, t_from + (i * span) / steps, span / steps)
+        assert new[n + 1].values.tobytes() == want.values.tobytes(), f"boundary {n + 1}"
+    assert len(lengths) == (3 if n_slices == 7 else 1)

@@ -237,6 +237,15 @@ def _build_model(config: ExperimentConfig):
         return AdvectionModel(config.speed, config.n_cells, config.bc, source)
 
 
+def _check_distinct_modes(pairs):
+    """A spectral mode list names each mode once: the initial state would
+    keep a repeat's last value, the source's coefficient its first."""
+    modes = [m for m, _ in pairs]
+    for m in modes:
+        if modes.count(m) > 1:
+            raise ValueError(f"mode {m} given twice")
+
+
 def build_model_and_u0(config: ExperimentConfig):
     kind, initial = config.model_kind, config.initial_kind
     model = _build_model(config)
@@ -247,10 +256,12 @@ def build_model_and_u0(config: ExperimentConfig):
             u0 = model.zero_state(config.fine_modes)
         elif initial == "modes":
             with _config_keys("initial.modes"):
+                _check_distinct_modes(config.initial_modes)
                 u0 = model.state_from_modes(dict(config.initial_modes), config.fine_modes)
         else:
             raise ConfigError(f"initial.kind: {initial!r} needs a grid model")
         with _config_keys("source.modes"):
+            _check_distinct_modes(config.source_modes)
             model.state_from_modes(dict(config.source_modes), config.fine_modes)
         return model, u0
     if kind == "wave":

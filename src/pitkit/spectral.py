@@ -13,6 +13,7 @@ modes keeps the first ``mode_count`` entries.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -188,6 +189,31 @@ def check_mode_layout(model: SpectralModel, state: StateVector):
         raise ValueError(f"state layout {layout} does not fit model {model}")
 
 
+def _kept_rates(model: SpectralModel, kept: int) -> np.ndarray:
+    """Decay rates of the first ``kept`` positions, computed on one array
+    so that every rate has the bits of numpy's elementwise square."""
+    positions = np.arange(kept)
+    return model.decay_rate(positions + 1 if model.basis == "sine" else positions)
+
+
+@functools.lru_cache(maxsize=64)
+def _forced_positions(model: SpectralModel, kept: int) -> tuple[int, ...]:
+    """The positions among the first ``kept`` whose mode the source forces."""
+    return tuple(position for position in range(kept)
+                 if model.source.mode_function(model.mode_index(position)) is not None)
+
+
+@functools.lru_cache(maxsize=2048)
+def _slice_forcing(model: SpectralModel, position: int, t0: float, t1: float) -> float:
+    """The source integral of one forced position over [t0, t1].  It does not
+    depend on the state, so every propagation across the slice shares it,
+    fine and coarse alike.  Keyed on the model, not its source: the rate
+    depends on the model's length too."""
+    rate = _kept_rates(model, position + 1)[position]
+    fn = model.source.mode_function(model.mode_index(position))
+    return source_mode_integral(rate, fn, t0, t1)
+
+
 def spectral_propagate_stack(model: SpectralModel, spec: PropagatorSpec, states: np.ndarray,
                              t_from, t_to) -> np.ndarray:
     """Advance the first spec.mode_count modes of each row i of the stack
@@ -197,19 +223,15 @@ def spectral_propagate_stack(model: SpectralModel, spec: PropagatorSpec, states:
     if kept > states.shape[-1]:
         raise ConfigError(f"mode_count {kept} exceeds the state's {states.shape[-1]} modes")
     out = np.zeros(states.shape)
-    positions = np.arange(kept)
-    modes = positions + 1 if model.basis == "sine" else positions
-    rates = model.decay_rate(modes)
+    rates = _kept_rates(model, kept)
+    forced = _forced_positions(model, kept)
     for u, values, t0, t1 in zip(states, out, np.asarray(t_from, dtype=float).tolist(),
                                  np.asarray(t_to, dtype=float).tolist(), strict=True):
         if not t1 > t0:
             raise ValueError(f"need t_to > t_from, got [{t0}, {t1}]")
         values[:kept] = u[:kept] * np.exp(-rates * (t1 - t0))
-        if model.source.kind != "zero":
-            for position in range(kept):
-                fn = model.source.mode_function(int(modes[position]))
-                if fn is not None:
-                    values[position] += source_mode_integral(rates[position], fn, t0, t1)
+        for position in forced:
+            values[position] += _slice_forcing(model, position, t0, t1)
     return out
 
 

@@ -8,13 +8,15 @@ time, as one-row stacks, in reversed slice order;
 values ``run`` records after every sweep, whose fine solves share stacks.
 """
 
-from pitkit import heat
+from pitkit import heat, spectral
 from pitkit.core import propagate_slice
 from pitkit.parareal import initialize_guess, run
 
 
 def _clear_solver_caches():
     heat._cached_stepper.cache_clear()
+    spectral._forced_positions.cache_clear()
+    spectral._slice_forcing.cache_clear()
 
 
 def _propagate_one(spec, state, bounds):

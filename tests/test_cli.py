@@ -301,6 +301,11 @@ _BAD_RUN_CONFIGS = {
                                          "source.modes: mode 200"),
     "spectral-source-mode-zero": ("[model]\nkind = spectral\n[source]\nkind = pulsed\n"
                                   "modes = 0:1.0\n", "source.modes: mode 0"),
+    "source-mode-given-twice": ("[model]\nkind = spectral\n[source]\nkind = pulsed\n"
+                                "modes = 2:1.0 2:3.0\n", "source.modes: mode 2 given twice"),
+    "initial-mode-given-twice": ("[model]\nkind = spectral\n[source]\nkind = zero\n"
+                                 "[initial]\nkind = modes\nmodes = 1:1.0 1:5.0\n",
+                                 "initial.modes: mode 1 given twice"),
     "negative-seed": ("[run]\ninitial_guess = random\nseed = -1\n", "run.seed"),
     "fine-steps-zero": ("[fine]\nsteps_per_slice = 0\n", "fine.steps_per_slice: must be >= 1"),
     "coarse-steps-zero": ("[coarse]\nsteps_per_slice = 0\n",

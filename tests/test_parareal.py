@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import math
+import pathlib
 import pkgutil
 import threading
 import time
@@ -27,7 +28,13 @@ from pitkit.parareal import (
     reference_fine_sequential,
     run,
 )
-from pitkit.presets import ExperimentConfig, build_parareal, experiment_preset
+from pitkit.presets import (
+    ExperimentConfig,
+    build_model_and_u0,
+    build_parareal,
+    experiment_preset,
+    load_config,
+)
 from pitkit.spectral import ModeSource, SpectralModel
 
 from independent_sweeps import _clear_solver_caches, assert_sweeps_match_reordered
@@ -268,8 +275,12 @@ def _pitkit_lru_caches():
 
 def test_clearing_solver_caches_leaves_every_cache_cold():
     """The reordered sweep's "cold caches" must cover every cache pitkit has."""
-    for name in ("heat-dirichlet-N6", "wave-N8", "advection-periodic-N12", "spectral-mG3"):
-        config = build_parareal(experiment_preset(name))
+    configs = [experiment_preset(name) for name in
+               ("heat-dirichlet-N6", "wave-N8", "advection-periodic-N12", "spectral-mG3")]
+    # the presets' spectral source is zero, so a forced one fills the forcing memo
+    configs.append(load_config(str(pathlib.Path(__file__).with_name("spectral_pulsed.ini"))))
+    for experiment in configs:
+        config = build_parareal(experiment)
         parareal_iterate(initialize_guess(config), config)
     caches = _pitkit_lru_caches()
     assert caches and any(cache.cache_info().currsize for cache in caches.values())
@@ -368,6 +379,25 @@ def test_negative_tolerance_rejected():
 def test_spectral_coarse_must_keep_fewer_modes():
     with pytest.raises(ConfigError):
         _spectral_config(m_fine=4, m_coarse=4)
+
+
+def test_repeated_spectral_mode_rejected_in_a_config_built_in_code():
+    """The check is made when the model is built, not when an INI value is
+    parsed, so a config built in code meets it too."""
+    base = ExperimentConfig(model_kind="spectral", n_slices=4)
+    with pytest.raises(ConfigError, match="^source.modes: mode 2 given twice$"):
+        build_parareal(dataclasses.replace(base, source_modes=((2, 1.0), (2, 3.0))))
+    with pytest.raises(ConfigError, match="^initial.modes: mode 1 given twice$"):
+        build_parareal(dataclasses.replace(base, initial_kind="modes",
+                                           initial_modes=((1, 1.0), (1, 5.0))))
+
+
+def test_wave_initial_modes_add_up_a_repeated_mode():
+    once = ExperimentConfig(model_kind="wave", source_kind="zero", initial_kind="modes",
+                            initial_modes=((1, 3.0),))
+    twice = dataclasses.replace(once, initial_modes=((1, 1.0), (1, 2.0)))
+    np.testing.assert_allclose(build_model_and_u0(twice)[1].values,
+                               build_model_and_u0(once)[1].values, rtol=0.0, atol=1e-15)
 
 
 def test_wrong_role_rejected():

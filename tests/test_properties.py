@@ -82,8 +82,9 @@ def spectral_configs(draw):
     fine_modes = draw(st.integers(2, 12))
     basis = draw(st.sampled_from(["sine", "cosine"]))
     first = 1 if basis == "sine" else 0
+    # a spectral mode list names each mode at most once
     modes = st.lists(st.tuples(st.integers(first, fine_modes - 1 + first),
-                               st.floats(-2.0, 2.0)), max_size=4)
+                               st.floats(-2.0, 2.0)), max_size=4, unique_by=lambda pair: pair[0])
     shape = draw(_run_shape())
     return ExperimentConfig(
         model_kind="spectral",

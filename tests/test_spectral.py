@@ -221,7 +221,34 @@ def test_mode_decay_rate_is_exactly_m_squared_at_length_pi(monkeypatch):
     monkeypatch.setattr(spectral, "source_mode_integral", recording_integral)
     model = SpectralModel(math.pi, "sine", ModeSource.constant({m: 1.0 for m in range(1, 65)}))
     spec = PropagatorSpec(model, "fine", mode_count=64)
-    spectral_propagate(model, spec, model.zero_state(64), 0.0, 0.5)
+    # the forcing memo must neither answer from an earlier test's integrals
+    # nor keep the recording's zeros for a later one
+    spectral._slice_forcing.cache_clear()
+    try:
+        spectral_propagate(model, spec, model.zero_state(64), 0.0, 0.5)
+    finally:
+        spectral._slice_forcing.cache_clear()
     assert rates[11] == 121.0
     assert all(rates[m] == float(m * m) for m in range(1, 65))
     assert model.decay_rate(11) == 121.0
+
+
+# ------------------------------------------------------------ forcing memo
+
+
+@pytest.mark.parametrize("lengths", [(math.pi, 1.0), (1.0, math.pi)])
+def test_forcing_memo_tells_models_with_one_source_apart(lengths):
+    """Two models that share a source but differ in length have different
+    decay rates, so neither may read the other's memoized integrals: each
+    propagation gives the uncached integrals bit for bit, in either order."""
+    source = ModeSource.pulsed({1: 1.5, 3: -0.5})
+    spectral._slice_forcing.cache_clear()
+    for length in lengths:
+        model = SpectralModel(length, "sine", source)
+        spec = PropagatorSpec(model, "fine", mode_count=8)
+        got = spectral_propagate(model, spec, model.zero_state(8), 0.25, 0.75).values
+        rates = model.decay_rate(np.arange(1, 9))
+        for position, mode in ((0, 1), (2, 3)):
+            want = source_mode_integral(rates[position], source.mode_function(mode), 0.25, 0.75)
+            assert got[position].tobytes() == np.float64(want).tobytes(), (length, mode)
+        assert not got[[1, 3, 4, 5, 6, 7]].any()

@@ -153,9 +153,9 @@ def cmd_solution_field(args) -> int:
     parareal = build_parareal(config)
     grid_x = parareal.fine.model.grid_x
     lines = [FIELD_HEADER, *_header_lines(config.echo()), "x,t,u"]
-    states = reference_fine_sequential(parareal)
-    for t, state in zip(parareal.partition.boundaries, states):
-        lines.extend(f"{_fmt(x)},{_fmt(t)},{_fmt(u)}" for x, u in zip(grid_x, state.values))
+    rows = reference_fine_sequential(parareal)
+    for t, row in zip(parareal.partition.boundaries, rows):
+        lines.extend(f"{_fmt(x)},{_fmt(t)},{_fmt(u)}" for x, u in zip(grid_x, row))
     _write("\n".join(lines) + "\n", args.out)
     return 0
 

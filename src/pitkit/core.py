@@ -104,25 +104,6 @@ class StateVector:
     def with_values(self, values: np.ndarray) -> "StateVector":
         return StateVector(self.layout, values)
 
-    def __add__(self, other: "StateVector") -> "StateVector":
-        self._check_same_layout(other)
-        return StateVector(self.layout, self.values + other.values)
-
-    def __sub__(self, other: "StateVector") -> "StateVector":
-        self._check_same_layout(other)
-        return StateVector(self.layout, self.values - other.values)
-
-    def scaled(self, factor: float) -> "StateVector":
-        return StateVector(self.layout, factor * self.values)
-
-    def _check_same_layout(self, other: "StateVector"):
-        if self.layout != other.layout:
-            raise ValueError(f"layout mismatch: {self.layout} vs {other.layout}")
-
-
-def zeros_like(state: StateVector) -> StateVector:
-    return StateVector(state.layout, np.zeros(state.layout.size))
-
 
 # --------------------------------------------------------------------------
 # time partition

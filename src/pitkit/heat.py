@@ -372,15 +372,6 @@ def grid_propagate_stack(model, spec: PropagatorSpec, states: np.ndarray,
     return u
 
 
-def grid_propagate(model, spec: PropagatorSpec, state: StateVector,
-                   t_from: float, t_to: float) -> StateVector:
-    """Advance one grid state across [t_from, t_to]: the one-row stack of
-    ``grid_propagate_stack``."""
-    check_layout(model, state)
-    out = grid_propagate_stack(model, spec, state.values[None], [t_from], [t_to])
-    return state.with_values(out[0])
-
-
 propagate_slice.register(HeatModel, grid_propagate_stack)
 
 

@@ -35,13 +35,24 @@ from .core import (
     TimePartition,
     discrete_l2_norm,
     propagate_slice,
-    zeros_like,
 )
 from .factors import iteration_error_bound
 from .heat import check_layout
 from .spectral import SpectralModel, check_mode_layout
 
 GUESS_KINDS = ("default", "zero", "replicate_u0", "coarse_sweep", "random")
+
+# Most float64 values a run may hold in its boundary array, (N+1) x size,
+# or in its trace, (K+1) x (N+1): 32 MiB each.
+MAX_RUN_VALUES = 2**22
+
+
+def check_boundary_size(n_slices: int, size: int) -> None:
+    """Reject a run whose (N+1, size) boundary array would exceed
+    MAX_RUN_VALUES, before any state of that size is allocated."""
+    if (n_slices + 1) * size > MAX_RUN_VALUES:
+        raise ConfigError(f"{n_slices + 1} slice boundaries of {size} values each exceed "
+                          f"the limit of {MAX_RUN_VALUES} values a run may hold")
 
 
 @dataclass(frozen=True)
@@ -63,6 +74,11 @@ class PararealConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        check_boundary_size(self.partition.n_slices, self.u0.layout.size)
+        if (self.max_iterations + 1) * (self.partition.n_slices + 1) > MAX_RUN_VALUES:
+            raise ConfigError(f"max_iterations {self.max_iterations}: a trace of "
+                              f"{self.max_iterations + 1} x {self.partition.n_slices + 1} errors "
+                              f"exceeds the limit of {MAX_RUN_VALUES} values a run may hold")
         if self.fine.role != "fine":
             raise ConfigError(f"fine propagator has role {self.fine.role!r}")
         coarse = self.coarse
@@ -73,11 +89,12 @@ class PararealConfig:
             coarse = None
             object.__setattr__(self, "coarse", None)
         # propagators see raw value stacks, not layouts, so the layout the
-        # run's states share is checked here, once
-        if isinstance(self.fine.model, SpectralModel):
-            check_mode_layout(self.fine.model, self.u0)
-        elif hasattr(self.fine.model, "layout"):
-            check_layout(self.fine.model, self.u0)
+        # run's rows share is checked here, once, against both models
+        for model in (self.fine.model, getattr(coarse, "model", None)):
+            if isinstance(model, SpectralModel):
+                check_mode_layout(model, self.u0)
+            elif hasattr(model, "layout"):
+                check_layout(model, self.u0)
         if self.initial_guess not in GUESS_KINDS:
             raise ConfigError(
                 f"unknown initial_guess {self.initial_guess!r}, expected one of {GUESS_KINDS}"
@@ -101,100 +118,108 @@ class PararealConfig:
 
 
 def _propagate(config: PararealConfig, spec: PropagatorSpec,
-               states: Sequence[StateVector], slices: Sequence[int]) -> list[StateVector]:
-    """Advance ``states[i]`` across slice ``slices[i]`` with the given
-    propagator.  States whose slices have bitwise the same length share a
-    substep length, and so one stacked ``propagate_slice`` call; a length
-    that differs in any bit gets a stack of its own."""
-    stacks: dict[float, list[tuple[int, float, float]]] = {}
+               values: np.ndarray, slices: Sequence[int]) -> np.ndarray:
+    """Advance the boundary value ``values[n]`` across slice n with the
+    given propagator for each n in ``slices``; row i of the result is the
+    end value of slice ``slices[i]``.  Slices of bitwise the same length
+    share a substep length, and so one stacked ``propagate_slice`` call; a
+    length that differs in any bit gets a stack of its own."""
+    stacks: dict[float, list[tuple[int, int, float, float]]] = {}
     for i, n in enumerate(slices):
         t0, t1 = config.partition.slice_bounds(n)
-        stacks.setdefault(t1 - t0, []).append((i, t0, t1))
-    out: list[StateVector] = [None] * len(slices)
-    for rows in stacks.values():
-        index, t_from, t_to = zip(*rows)
-        stack = np.array([states[i].values for i in index])
-        for i, values in zip(index, propagate_slice(spec.model, spec, stack, t_from, t_to)):
-            out[i] = states[i].with_values(values)
+        stacks.setdefault(t1 - t0, []).append((i, n, t0, t1))
+    out = np.empty((len(slices), values.shape[1]))
+    for group in stacks.values():
+        index, inputs, t_from, t_to = zip(*group)
+        out[list(index)] = propagate_slice(spec.model, spec, values[list(inputs)], t_from, t_to)
     return out
 
 
-def _sequential(config: PararealConfig, spec: PropagatorSpec) -> tuple[StateVector, ...]:
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+def _boundaries(config: PararealConfig) -> np.ndarray:
+    """A fresh (N+1, size) array whose row 0 is u0."""
+    values = np.zeros((config.partition.n_slices + 1, config.u0.layout.size))
+    values[0] = config.u0.values
+    return values
+
+
+def _sequential(config: PararealConfig, spec: PropagatorSpec) -> np.ndarray:
     """Slice boundary values of a plain sequential run of one propagator."""
-    values = [config.u0]
+    values = _boundaries(config)
     for n in range(config.partition.n_slices):
-        values.append(_propagate(config, spec, [values[n]], [n])[0])
-    return tuple(values)
+        values[n + 1] = _propagate(config, spec, values, [n])[0]
+    return _read_only(values)
 
 
-def reference_fine_sequential(config: PararealConfig) -> tuple[StateVector, ...]:
+def reference_fine_sequential(config: PararealConfig) -> np.ndarray:
     """Slice boundary values of the plain sequential fine run."""
     return _sequential(config, config.fine)
 
 
-def initialize_guess(config: PararealConfig) -> tuple[StateVector, ...]:
+def initialize_guess(config: PararealConfig) -> np.ndarray:
     """Boundary values U^0_0..U^0_N of the resolved initial guess."""
-    n_slices = config.partition.n_slices
     kind = config.resolved_guess
-    if kind == "zero":
-        values = [config.u0] + [zeros_like(config.u0) for _ in range(n_slices)]
-    elif kind == "replicate_u0":
-        values = [config.u0] * (n_slices + 1)
-    elif kind == "coarse_sweep":
+    if kind == "coarse_sweep":
         return _sequential(config, config.coarse)
-    else:  # random
+    values = _boundaries(config)
+    if kind == "replicate_u0":
+        values[1:] = values[0]
+    elif kind == "random":
         rng = np.random.default_rng(config.seed)
-        values = [config.u0]
-        for _ in range(n_slices):
-            values.append(config.u0.with_values(rng.standard_normal(config.u0.layout.size)))
-    return tuple(values)
+        for row in values[1:]:
+            row[:] = rng.standard_normal(len(row))
+    return _read_only(values)
 
 
-def _same(a: StateVector, b: StateVector) -> bool:
-    """Bitwise equality; unlike ==, it tells -0.0 from +0.0."""
-    return a.values.tobytes() == b.values.tobytes()
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise equality of two rows; unlike ==, it tells -0.0 from +0.0."""
+    return a.tobytes() == b.tobytes()
 
 
-def parareal_iterate(old: tuple[StateVector, ...], config: PararealConfig,
-                     g_old: Optional[tuple[StateVector, ...]] = None,
-                     reference: Optional[tuple[StateVector, ...]] = None,
-                     ) -> tuple[tuple[StateVector, ...], Optional[tuple[StateVector, ...]]]:
-    """One sweep from boundary values U^k to U^{k+1}: the fine solves from
-    the old values, each depending only on its own slice and input, so
-    they run as one stacked call per slice length; then the in-order coarse
-    correction (or a plain copy-forward without a coarse propagator).
+def parareal_iterate(old: np.ndarray, config: PararealConfig,
+                     g_old: Optional[np.ndarray] = None,
+                     reference: Optional[np.ndarray] = None,
+                     ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """One sweep from boundary values U^k to U^{k+1}, each an (N+1, size)
+    array: the fine solves from the old values, each depending only on its
+    own slice and input, so they run as one stacked call per slice length;
+    then the in-order coarse correction (or a plain copy-forward without a
+    coarse propagator).
 
-    Returns U^{k+1} and the coarse values G(U^{k+1}_n) of slices 0..N-1,
-    which the next sweep takes as ``g_old``; the coarse values are None
-    without a coarse propagator.  ``g_old`` holds G(U^k_n); when it is None
-    the sweep computes it.  Where U^{k+1}_n is bitwise U^k_n, G(U^{k+1}_n)
-    is ``g_old[n]``.  ``reference`` holds the sequential fine values; where
-    U^k_n is bitwise the reference's, F(U^k_n) is its next value.  The
-    propagators are deterministic, so every carried value is bitwise the
-    one a recompute would give.
+    Returns a fresh read-only U^{k+1} and the coarse values G(U^{k+1}_n) of
+    slices 0..N-1, which the next sweep takes as ``g_old``; the coarse
+    values are None without a coarse propagator.  ``g_old`` holds G(U^k_n);
+    when it is None the sweep computes it.  Where U^{k+1}_n is bitwise
+    U^k_n, G(U^{k+1}_n) is ``g_old[n]``.  ``reference`` holds the sequential
+    fine values; where U^k_n is bitwise the reference's, F(U^k_n) is its
+    next value.  The propagators are deterministic, so every carried value
+    is bitwise the one a recompute would give.
     """
     n_slices = config.partition.n_slices
-    locked = [reference is not None and _same(old[n], reference[n]) for n in range(n_slices)]
-    unlocked = [n for n in range(n_slices) if not locked[n]]
-    computed = iter(_propagate(config, config.fine, [old[n] for n in unlocked], unlocked))
-    fine_values = [reference[n + 1] if locked[n] else next(computed) for n in range(n_slices)]
+    unlocked = [n for n in range(n_slices) if reference is None or not _same(old[n], reference[n])]
+    # a locked input's fine value is the reference's next value
+    new = _boundaries(config) if reference is None else np.array(reference)
+    new[[n + 1 for n in unlocked]] = _propagate(config, config.fine, old, unlocked)
 
-    new = [config.u0]
     coarse = config.coarse
     if coarse is None:
-        new.extend(fine_values)
-        return tuple(new), None
+        return _read_only(new), None
     if g_old is None:
-        g_old = tuple(_propagate(config, coarse, old[:n_slices], range(n_slices)))
-    g_new = []
+        g_old = _propagate(config, coarse, old, range(n_slices))
+    g_new = np.empty(g_old.shape)
     for n in range(n_slices):
-        g_new.append(g_old[n] if _same(new[n], old[n]) else _propagate(config, coarse, [new[n]], [n])[0])
-        new.append(fine_values[n] + (g_new[n] - g_old[n]))
-    return tuple(new), tuple(g_new)
+        g_new[n] = g_old[n] if _same(new[n], old[n]) else _propagate(config, coarse, new, [n])[0]
+        # new[n + 1] holds F(U^k_n): fine + (g_new - g_old)
+        new[n + 1] += g_new[n] - g_old[n]
+    return _read_only(new), _read_only(g_new)
 
 
 def run(config: PararealConfig, *,
-        on_iteration: Optional[Callable[[int, tuple[StateVector, ...]], None]] = None,
+        on_iteration: Optional[Callable[[int, np.ndarray], None]] = None,
         ) -> IterationTrace:
     """Run the iteration against the sequential fine reference.
 
@@ -203,18 +228,19 @@ def run(config: PararealConfig, *,
     models the trace also carries the analytic bound exp(-rate*k*dT) *
     sup-error(0) per sweep, where rate is the decay of the slowest mode the
     coarse propagator does not resolve.  Stops early once the sup error over
-    boundaries falls below config.tolerance.
+    boundaries falls below config.tolerance.  ``on_iteration(k, values)``
+    receives each sweep's read-only (N+1, size) boundary values.
     """
     reference = reference_fine_sequential(config)
     # a value bitwise equal to a finite reference value has error exactly
     # +0.0, so its norm is not taken; a non-finite one still gives NaN
-    finite = [bool(np.isfinite(r.values).all()) for r in reference]
+    finite = np.isfinite(reference).all(axis=1).tolist()
     errors: list[np.ndarray] = []
     wall_time_ms: list[float] = []
 
-    def record(k: int, values: tuple[StateVector, ...], start: float) -> None:
+    def record(k: int, values: np.ndarray, start: float) -> None:
         wall_time_ms.append((time.perf_counter() - start) * 1e3)
-        row = np.array([0.0 if finite[n] and _same(v, r) else discrete_l2_norm(v - r)
+        row = np.array([0.0 if finite[n] and _same(v, r) else discrete_l2_norm(config.u0.with_values(v - r))
                         for n, (v, r) in enumerate(zip(values, reference))])
         if not np.isfinite(row.max()):
             raise NumericalError(f"iteration {k} produced a non-finite error {row.max()}")

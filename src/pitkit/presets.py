@@ -21,7 +21,7 @@ import numpy as np
 from .core import ConfigError, PropagatorSpec, StateVector, make_uniform_partition
 from .heat import HeatModel, SourceTerm
 from .hyperbolic import AdvectionModel, WaveModel
-from .parareal import GUESS_KINDS, PararealConfig
+from .parareal import GUESS_KINDS, PararealConfig, check_boundary_size
 from .spectral import ModeSource, SpectralModel
 
 MODEL_KINDS = ("heat", "spectral", "advection", "wave")
@@ -249,9 +249,12 @@ def _check_distinct_modes(pairs):
 def build_model_and_u0(config: ExperimentConfig):
     kind, initial = config.model_kind, config.initial_kind
     model = _build_model(config)
+    size_key = "fine.mode_count" if kind == "spectral" else "model.n_cells"
+    with _config_keys(size_key):
+        layout = model.layout(config.fine_modes) if kind == "spectral" else model.layout()
+    with _config_keys(size_key, "partition.n_slices"):
+        check_boundary_size(config.n_slices, layout.size)
     if kind == "spectral":
-        with _config_keys("fine.mode_count"):
-            model.layout(config.fine_modes)
         if initial == "zero":
             u0 = model.zero_state(config.fine_modes)
         elif initial == "modes":

@@ -235,15 +235,6 @@ def spectral_propagate_stack(model: SpectralModel, spec: PropagatorSpec, states:
     return out
 
 
-def spectral_propagate(model: SpectralModel, spec: PropagatorSpec, state: StateVector,
-                       t_from: float, t_to: float) -> StateVector:
-    """Advance one mode state across [t_from, t_to]: the one-row stack of
-    ``spectral_propagate_stack``."""
-    check_mode_layout(model, state)
-    out = spectral_propagate_stack(model, spec, state.values[None], [t_from], [t_to])
-    return state.with_values(out[0])
-
-
 propagate_slice.register(SpectralModel, spectral_propagate_stack)
 
 

@@ -8,6 +8,8 @@ time, as one-row stacks, in reversed slice order;
 values ``run`` records after every sweep, whose fine solves share stacks.
 """
 
+import numpy as np
+
 from pitkit import heat, spectral
 from pitkit.core import propagate_slice
 from pitkit.parareal import initialize_guess, run
@@ -19,31 +21,28 @@ def _clear_solver_caches():
     spectral._slice_forcing.cache_clear()
 
 
-def _propagate_one(spec, state, bounds):
-    """One state across one slice, as a one-row stack."""
-    out = propagate_slice(spec.model, spec, state.values[None], [bounds[0]], [bounds[1]])
-    return state.with_values(out[0])
+def _propagate_one(spec, values, bounds):
+    """One row of values across one slice, as a one-row stack."""
+    return propagate_slice(spec.model, spec, np.array(values)[None], [bounds[0]], [bounds[1]])[0]
 
 
 def reordered_sweep(config, old):
-    """U^{k+1} from U^k = ``old``: fine solves in reversed slice order from
-    cold caches, then the in-order correction F_n + (G(new_n) - G(old_n)),
-    or plain F_n without a coarse propagator."""
+    """U^{k+1} from the (N+1, size) array U^k = ``old``: fine solves in
+    reversed slice order from cold caches, then the in-order correction
+    F_n + (G(new_n) - G(old_n)), or plain F_n without a coarse propagator."""
     partition, fine, coarse = config.partition, config.fine, config.coarse
     _clear_solver_caches()
-    fine_values = {}
+    new = np.empty_like(old)
+    new[0] = config.u0.values
     for n in reversed(range(partition.n_slices)):
-        fine_values[n] = _propagate_one(fine, old[n], partition.slice_bounds(n))
-    new = [config.u0]
-    for n in range(partition.n_slices):
-        if coarse is None:
-            new.append(fine_values[n])
-            continue
-        bounds = partition.slice_bounds(n)
-        g_new = _propagate_one(coarse, new[n], bounds)
-        g_old = _propagate_one(coarse, old[n], bounds)
-        new.append(fine_values[n] + (g_new - g_old))
-    return tuple(new)
+        new[n + 1] = _propagate_one(fine, old[n], partition.slice_bounds(n))
+    if coarse is not None:
+        for n in range(partition.n_slices):
+            bounds = partition.slice_bounds(n)
+            g_new = _propagate_one(coarse, new[n], bounds)
+            g_old = _propagate_one(coarse, old[n], bounds)
+            new[n + 1] = new[n + 1] + (g_new - g_old)
+    return new
 
 
 def assert_sweeps_match_reordered(config):
@@ -55,8 +54,8 @@ def assert_sweeps_match_reordered(config):
     old = initialize_guess(config)
     for k, values in enumerate(recorded, start=1):
         want = reordered_sweep(config, old)
-        assert len(values) == len(want)
+        assert values.shape == want.shape and not values.flags.writeable
         for n, (got, expected) in enumerate(zip(values, want)):
-            assert got.values.tobytes() == expected.values.tobytes(), f"boundary {n} after sweep {k}"
+            assert got.tobytes() == expected.tobytes(), f"boundary {n} after sweep {k}"
         old = want
     return trace

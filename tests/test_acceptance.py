@@ -21,6 +21,7 @@ from pitkit.heat import (
     HeatModel,
     SourceTerm,
     TridiagonalSystem,
+    fd_decay_rate,
     implicit_system,
     sample_source,
     thomas_solve,
@@ -30,6 +31,7 @@ from pitkit.presets import (
     build_parareal,
     experiment_preset,
     experiment_preset_names,
+    with_iterations,
     without_coarse,
 )
 from pitkit.spectral import SpectralModel, source_mode_integral
@@ -237,7 +239,7 @@ def test_criterion_6_per_mode_ratios(m_g):
 
     def mode_sup(k, m):
         return max(
-            abs(captured[k][n].values[m - 1] - reference[n].values[m - 1])
+            abs(captured[k][n][m - 1] - reference[n][m - 1])
             for n in range(len(reference))
         )
 
@@ -354,4 +356,38 @@ def test_criterion_10_slice_sweep_vs_monolithic_stepping():
         u = np.linalg.solve(dense, u + dt * sample_source(model.source, model.grid_x, t_next))
         if (i + 1) % 48 == 0:
             n = (i + 1) // 48
-            assert np.max(np.abs(boundary_values[n].values - u)) < 1e-13
+            assert np.max(np.abs(boundary_values[n] - u)) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# 11. the coarse-free speedup ceiling
+
+
+@pytest.mark.criterion(11, "coarse-free speedup is capped by λ_1·T")
+def test_criterion_11_coarse_free_sweeps_grow_with_n():
+    """Without a coarse propagator the sweep count to a relative tolerance
+    is the same multiple of N for every N, so N/K, the ideal speedup on N
+    workers, does not grow with N.
+
+    After the first sweep the error contracts by the slowest mode's fine
+    factor rho = (1 + dt*mu_1)^-s per sweep, and s = 288/N substeps give
+    rho^N ~ exp(-lambda_1*T) whatever N is.  Reaching tol*e_0 thus takes
+    K ~ N*ln(1/tol)/(lambda_1*T) sweeps, capping N/K near
+    lambda_1*T/ln(1/tol) (about 2.1 and 1.3 here): the ceiling is set by how many e-foldings the
+    slowest mode makes over the whole window, not by the workers.  The
+    measured count is exactly ceil(ln(tol*e_0/e_1)/ln rho) + 1."""
+    ratios = {1e-6: set(), 1e-10: set()}
+    for n_slices in (6, 12, 24, 48):
+        experiment = with_iterations(without_coarse(experiment_preset(f"heat-dirichlet-N{n_slices}")),
+                                     n_slices)
+        config = build_parareal(experiment)
+        sups = _sups(run(config))
+        steps = config.fine.steps_per_slice
+        dt = config.partition.delta_t / steps
+        rho = (1.0 + dt * fd_decay_rate(config.fine.model, 1)) ** -steps
+        for tol, seen in ratios.items():
+            target = tol * sups[0]
+            sweeps = min(k for k, sup in sups.items() if sup <= target)
+            assert sweeps == math.ceil(math.log(target / sups[1]) / math.log(rho)) + 1, (n_slices, tol)
+            seen.add(n_slices / sweeps)
+    assert ratios == {1e-6: {2.0}, 1e-10: {1.2}}

@@ -326,6 +326,14 @@ _BAD_RUN_CONFIGS = {
     "advection-cfl-above-one": ("[model]\nkind = advection\nbc = periodic\n[source]\nkind = zero\n"
                                 "[fine]\nsteps_per_slice = 4\n[coarse]\nrole = none\n",
                                 "fine.steps_per_slice: CFL number"),
+    # past the size limit, rejected before any state of that size exists
+    "heat-cells-past-limit": ("[model]\nn_cells = 1000000000000000\n",
+                              "model.n_cells / partition.n_slices: 49 slice boundaries"),
+    "spectral-modes-past-limit": ("[model]\nkind = spectral\n[source]\nkind = zero\n"
+                                  "[fine]\nmode_count = 1000000000000\n",
+                                  "fine.mode_count / partition.n_slices: 49 slice boundaries"),
+    "iterations-past-limit": ("[run]\niterations = 1000000000000\n",
+                              "run.iterations: max_iterations 1000000000000: a trace"),
 }
 
 

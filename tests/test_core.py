@@ -13,7 +13,6 @@ from pitkit.core import (
     make_uniform_partition,
     propagate_slice,
     sup_error,
-    zeros_like,
 )
 
 
@@ -31,18 +30,6 @@ def test_state_vector_copies_input():
     state = StateVector(layout, raw)
     raw[0] = -1.0
     assert state.values[0] == 1.0
-
-
-def test_state_arithmetic_checks_layout():
-    a = StateVector(GridLayout(3, 0.5, "dirichlet"), [1.0, 2.0, 3.0])
-    b = StateVector(GridLayout(3, 0.5, "neumann"), [1.0, 1.0, 1.0])
-    with pytest.raises(ValueError):
-        a + b
-    c = StateVector(a.layout, [1.0, 1.0, 1.0])
-    assert np.array_equal((a + c).values, [2.0, 3.0, 4.0])
-    assert np.array_equal((a - c).values, [0.0, 1.0, 2.0])
-    assert np.array_equal(a.scaled(2.0).values, [2.0, 4.0, 6.0])
-    assert np.array_equal(zeros_like(a).values, [0.0, 0.0, 0.0])
 
 
 def test_wrong_length_rejected():

@@ -11,13 +11,14 @@ from pitkit.heat import (
     TridiagonalSystem,
     conserved_mean,
     fd_decay_rate,
-    grid_propagate,
     grid_step,
     implicit_system,
     sample_source,
     thomas_solve,
 )
 from pitkit.hyperbolic import AdvectionModel, WaveModel
+
+from independent_sweeps import _propagate_one
 
 
 # ---------------------------------------------------------------- solver
@@ -111,9 +112,9 @@ def test_propagate_is_a_semigroup():
     spec = PropagatorSpec(model, "fine", steps_per_slice=8)
     half = PropagatorSpec(model, "fine", steps_per_slice=4)
     u0 = StateVector(model.layout(), np.sin(np.pi * model.grid_x))
-    whole = grid_propagate(model, spec, u0, 0.0, 0.5)
-    split = grid_propagate(model, half, grid_propagate(model, half, u0, 0.0, 0.25), 0.25, 0.5)
-    assert np.max(np.abs(whole.values - split.values)) < 1e-12
+    whole = _propagate_one(spec, u0.values, (0.0, 0.5))
+    split = _propagate_one(half, _propagate_one(half, u0.values, (0.0, 0.25)), (0.25, 0.5))
+    assert np.max(np.abs(whole - split)) < 1e-12
 
 
 # (model, steps_per_slice, t_from, t_to, seed) of each cached-march check
@@ -130,7 +131,7 @@ _MARCH_CASES = {
 
 @pytest.mark.parametrize("case", list(_MARCH_CASES))
 def test_propagate_equals_uncached_step_loop_bitwise(case):
-    """The cached stepper of ``grid_propagate`` gives the bits of grid_step,
+    """The cached stepper of ``grid_propagate_stack`` gives the bits of grid_step,
     which builds the model's factor and source profile on every call; two
     slice lengths, so a cache that ignores the substep fails."""
     model, steps, t_from, t_to, seed = _MARCH_CASES[case]
@@ -144,17 +145,17 @@ def test_propagate_equals_uncached_step_loop_bitwise(case):
         for i in range(steps):
             want = grid_step(model, want, t_from + (i * span) / steps, span / steps)
         for _ in range(2):  # a cache miss, then a hit
-            got = grid_propagate(model, spec, u0, t_from, t_end)
-            assert np.array_equal(got.values, want.values)
+            got = _propagate_one(spec, u0.values, (t_from, t_end))
+            assert np.array_equal(got, want.values)
 
 
 def test_propagate_validates_inputs():
     model = HeatModel(16, "dirichlet")
     state = model.zero_state()
     with pytest.raises(ConfigError):
-        grid_propagate(model, PropagatorSpec(model, "fine", steps_per_slice=0), state, 0.0, 1.0)
+        _propagate_one(PropagatorSpec(model, "fine", steps_per_slice=0), state.values, (0.0, 1.0))
     with pytest.raises(ValueError):
-        grid_propagate(model, PropagatorSpec(model, "fine", steps_per_slice=2), state, 1.0, 1.0)
+        _propagate_one(PropagatorSpec(model, "fine", steps_per_slice=2), state.values, (1.0, 1.0))
     other = HeatModel(16, "neumann").zero_state()
     with pytest.raises(ValueError):
         grid_step(model, other, 0.0, 0.1)

@@ -20,7 +20,7 @@ from pitkit.core import (
 )
 import pitkit
 from pitkit import heat, parareal
-from pitkit.heat import HeatModel, SourceTerm, grid_propagate, implicit_system, sample_source
+from pitkit.heat import HeatModel, SourceTerm, implicit_system, sample_source
 from pitkit.parareal import (
     PararealConfig,
     initialize_guess,
@@ -37,7 +37,7 @@ from pitkit.presets import (
 )
 from pitkit.spectral import ModeSource, SpectralModel
 
-from independent_sweeps import _clear_solver_caches, assert_sweeps_match_reordered
+from independent_sweeps import _clear_solver_caches, _propagate_one, assert_sweeps_match_reordered
 
 
 def _heat_config(n_slices=6, guess="replicate_u0", coarse=True, **overrides):
@@ -82,7 +82,7 @@ def test_slice_n_is_exact_after_n_iterations(guess):
     for k in range(1, config.partition.n_slices + 1):
         state, g_values = parareal_iterate(state, config, g_old=g_values)
         for n in range(k + 1):
-            assert np.array_equal(state[n].values, reference[n].values), (
+            assert np.array_equal(state[n], reference[n]), (
                 f"slice {n} not exact at iteration {k}"
             )
 
@@ -94,14 +94,14 @@ def test_finite_termination_without_coarse():
     for _ in range(config.partition.n_slices):
         state, _ = parareal_iterate(state, config)
     for n, (got, want) in enumerate(zip(state, reference)):
-        assert np.array_equal(got.values, want.values), f"slice {n} differs"
+        assert np.array_equal(got, want), f"slice {n} differs"
 
 
 def test_single_slice_converges_in_one_iteration():
     config = _heat_config(n_slices=1, coarse=False, max_iterations=1)
     reference = reference_fine_sequential(config)
     state, _ = parareal_iterate(initialize_guess(config), config)
-    assert np.array_equal(state[1].values, reference[1].values)
+    assert np.array_equal(state[1], reference[1])
 
 
 # ----------------------------------------------- spectral error recurrence
@@ -132,7 +132,7 @@ def test_covered_modes_exact_from_first_iteration(m_coarse):
     reference = reference_fine_sequential(config)
     state, _ = parareal_iterate(initialize_guess(config), config)
     for n in range(1, config.partition.n_slices + 1):
-        diff = state[n].values - reference[n].values
+        diff = state[n] - reference[n]
         assert np.array_equal(diff[:m_coarse], np.zeros(m_coarse)), (
             f"covered modes wrong at slice {n}"
         )
@@ -181,9 +181,9 @@ def test_spectral_reference_is_pure_decay_without_source():
     config = _spectral_config(m_coarse=0, coefficients={2: 1.5})
     reference = reference_fine_sequential(config)
     rate = config.fine.model.decay_rate(2)
-    for n, state in enumerate(reference):
+    for n, row in enumerate(reference):
         t = config.partition.boundaries[n]
-        assert state.values[1] == pytest.approx(1.5 * math.exp(-rate * t), rel=1e-13)
+        assert row[1] == pytest.approx(1.5 * math.exp(-rate * t), rel=1e-13)
 
 
 # ------------------------------------------------------------ oracle check
@@ -215,7 +215,7 @@ def test_heat_iteration_matches_dense_linear_algebra():
 
     state = initialize_guess(config)
     for _ in range(2):
-        old = [v.values for v in state]
+        old = state
         state, _ = parareal_iterate(state, config)
         new = [config.u0.values]
         for n in range(4):
@@ -225,7 +225,7 @@ def test_heat_iteration_matches_dense_linear_algebra():
             g_old = dense_sweep(old[n], t0, t1, 1)
             new.append(fine + g_new - g_old)
         for n in range(5):
-            assert np.max(np.abs(state[n].values - new[n])) < 1e-13
+            assert np.max(np.abs(state[n] - new[n])) < 1e-13
 
 
 # ------------------------------------------------------------- determinism
@@ -313,26 +313,28 @@ def test_coarse_sweep_guess_is_sequential_coarse_run():
     config = _heat_config(guess="coarse_sweep")
     state = initialize_guess(config)
     t0, t1 = config.partition.slice_bounds(0)
-    want = grid_propagate(config.coarse.model, config.coarse, config.u0, t0, t1)
-    assert np.array_equal(state[1].values, want.values)
-    assert len(state) == config.partition.n_slices + 1
+    want = _propagate_one(config.coarse, config.u0.values, (t0, t1))
+    assert np.array_equal(state[1], want)
+    assert state.shape == (config.partition.n_slices + 1, config.u0.layout.size)
 
 
 def test_replicate_guess_copies_u0_everywhere():
     model = HeatModel(n_cells=16, bc="neumann", source=SourceTerm.zero())
     u0 = StateVector(model.layout(), np.linspace(0.0, 1.0, 17))
-    config = _heat_config(guess="replicate_u0", u0=u0, fine=PropagatorSpec(model, "fine", steps_per_slice=4))
+    # no coarse spec: the helper's default coarse model is a Dirichlet grid,
+    # which a Neumann u0 does not fit
+    config = _heat_config(guess="replicate_u0", coarse=False, u0=u0,
+                          fine=PropagatorSpec(model, "fine", steps_per_slice=4))
     state = initialize_guess(config)
-    for v in state:
-        assert np.array_equal(v.values, u0.values)
+    for row in state:
+        assert np.array_equal(row, u0.values)
 
 
 def test_zero_guess_keeps_initial_boundary():
     config = _spectral_config(guess="zero", coefficients={1: 2.0})
     state = initialize_guess(config)
-    assert np.array_equal(state[0].values, config.u0.values)
-    for v in state[1:]:
-        assert not v.values.any()
+    assert np.array_equal(state[0], config.u0.values)
+    assert not state[1:].any()
 
 
 def test_random_guess_depends_on_seed():
@@ -340,8 +342,8 @@ def test_random_guess_depends_on_seed():
     c2 = _heat_config(guess="random", seed=2)
     s1, s1b = initialize_guess(c1), initialize_guess(c1)
     s2 = initialize_guess(c2)
-    assert np.array_equal(s1[3].values, s1b[3].values)
-    assert not np.array_equal(s1[3].values, s2[3].values)
+    assert np.array_equal(s1[3], s1b[3])
+    assert not np.array_equal(s1[3], s2[3])
 
 
 def test_default_guess_follows_coarse_availability():
@@ -411,19 +413,29 @@ def test_wrong_role_rejected():
 
 
 def test_u0_that_does_not_fit_the_model_is_rejected():
-    """Propagators see raw stacks, so the layout is checked with the config:
-    a Neumann state of 15 unknowns does not fit a Dirichlet model of 15, nor
-    a cosine-mode state a sine model."""
+    """Propagators see raw stacks, so the layout is checked with the config,
+    against the fine and the coarse model alike: a Neumann state of 15
+    unknowns does not fit a Dirichlet model of 15, nor a cosine-mode state a
+    sine model; the coarse model gets the same rows as the fine one, so a
+    Dirichlet state of 31 unknowns fits no coarse Neumann grid of 31, no
+    coarser grid and no mode model."""
     heat_model = HeatModel(n_cells=16, bc="dirichlet")
     spectral_model = SpectralModel(basis="sine")
-    for u0, spec in (
+    fine_32 = PropagatorSpec(HeatModel(n_cells=32), "fine", steps_per_slice=2)
+    for u0, fine, coarse in (
         (HeatModel(n_cells=14, bc="neumann").zero_state(),
-         PropagatorSpec(heat_model, "fine", steps_per_slice=2)),
+         PropagatorSpec(heat_model, "fine", steps_per_slice=2), None),
         (SpectralModel(basis="cosine").zero_state(4),
-         PropagatorSpec(spectral_model, "fine", mode_count=4)),
+         PropagatorSpec(spectral_model, "fine", mode_count=4), None),
+        (HeatModel(n_cells=32).zero_state(), fine_32,
+         PropagatorSpec(HeatModel(n_cells=30, bc="neumann"), "coarse", steps_per_slice=1)),
+        (HeatModel(n_cells=32).zero_state(), fine_32,
+         PropagatorSpec(SpectralModel(), "coarse", mode_count=1)),
+        (HeatModel(n_cells=32).zero_state(), fine_32,
+         PropagatorSpec(HeatModel(n_cells=16), "coarse", steps_per_slice=1)),
     ):
         with pytest.raises(ValueError, match="does not fit"):
-            run(PararealConfig(make_uniform_partition(1.0, 2), u0, spec))
+            run(PararealConfig(make_uniform_partition(1.0, 2), u0, fine, coarse))
 
 
 class _NanAfterOne:

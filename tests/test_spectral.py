@@ -13,8 +13,9 @@ from pitkit.spectral import (
     project_to_modes,
     reconstruct,
     source_mode_integral,
-    spectral_propagate,
 )
+
+from independent_sweeps import _propagate_one
 
 
 def constant_one(t):
@@ -91,32 +92,32 @@ def test_single_mode_decay_over_half_slice():
     model = SpectralModel()
     state = model.state_from_modes({1: 1.0}, 4)
     spec = PropagatorSpec(model, "fine", mode_count=4)
-    out = spectral_propagate(model, spec, state, 0.0, 0.5)
-    assert out.values[0] == pytest.approx(0.6065306597126334, rel=1e-15)
+    out = _propagate_one(spec, state.values, (0.0, 0.5))
+    assert out[0] == pytest.approx(0.6065306597126334, rel=1e-15)
 
 
 def test_mode_count_zero_returns_zero_state():
     model = SpectralModel()
     state = model.state_from_modes({1: 1.0, 3: 2.0}, 4)
     spec = PropagatorSpec(model, "coarse", mode_count=0)
-    out = spectral_propagate(model, spec, state, 0.0, 0.5)
-    assert np.array_equal(out.values, np.zeros(4))
+    out = _propagate_one(spec, state.values, (0.0, 0.5))
+    assert np.array_equal(out, np.zeros(4))
 
 
 def test_truncation_zeroes_tail_modes():
     model = SpectralModel()
     state = model.state_from_modes({1: 1.0, 2: 1.0, 3: 1.0}, 8)
     spec = PropagatorSpec(model, "coarse", mode_count=2)
-    out = spectral_propagate(model, spec, state, 0.0, 0.25)
-    assert np.array_equal(out.values[2:], np.zeros(6))
-    assert out.values[1] == pytest.approx(math.exp(-4 * 0.25), rel=1e-14)
+    out = _propagate_one(spec, state.values, (0.0, 0.25))
+    assert np.array_equal(out[2:], np.zeros(6))
+    assert out[1] == pytest.approx(math.exp(-4 * 0.25), rel=1e-14)
 
 
 def test_fine_propagator_matches_exact_mode_solution_with_source():
     model = SpectralModel(source=ModeSource.pulsed({1: 1.0, 3: -0.5}))
     state = model.state_from_modes({1: 2.0, 2: 1.0, 3: 0.25}, 8)
     spec = PropagatorSpec(model, "fine", mode_count=8)
-    out = spectral_propagate(model, spec, state, 0.25, 0.75)
+    out = _propagate_one(spec, state.values, (0.25, 0.75))
     for position in range(8):
         m = model.mode_index(position)
         want = exact_mode_solution(
@@ -126,14 +127,14 @@ def test_fine_propagator_matches_exact_mode_solution_with_source():
             0.75,
             t_from=0.25,
         )
-        assert out.values[position] == pytest.approx(want, abs=1e-14)
+        assert out[position] == pytest.approx(want, abs=1e-14)
 
 
 def test_mode_count_beyond_state_rejected():
     model = SpectralModel()
     state = model.zero_state(4)
     with pytest.raises(ConfigError):
-        spectral_propagate(model, PropagatorSpec(model, "fine", mode_count=5), state, 0.0, 1.0)
+        _propagate_one(PropagatorSpec(model, "fine", mode_count=5), state.values, (0.0, 1.0))
 
 
 def test_cosine_basis_keeps_constant_mode():
@@ -141,9 +142,9 @@ def test_cosine_basis_keeps_constant_mode():
     assert model.decay_rate(0) == 0.0
     state = model.state_from_modes({0: 3.0, 2: 1.0}, 4)
     spec = PropagatorSpec(model, "fine", mode_count=5)
-    out = spectral_propagate(model, spec, state, 0.0, 1.0)
-    assert out.values[0] == 3.0  # zero mode never decays
-    assert out.values[2] == pytest.approx(math.exp(-(2 * math.pi) ** 2), rel=1e-12)
+    out = _propagate_one(spec, state.values, (0.0, 1.0))
+    assert out[0] == 3.0  # zero mode never decays
+    assert out[2] == pytest.approx(math.exp(-(2 * math.pi) ** 2), rel=1e-12)
 
 
 # -------------------------------------------------------------- transforms
@@ -209,7 +210,7 @@ def test_parseval_norm_frozen_values():
 
 
 def test_mode_decay_rate_is_exactly_m_squared_at_length_pi(monkeypatch):
-    """spectral_propagate and the trace bound share SpectralModel.decay_rate;
+    """spectral_propagate_stack and the trace bound share SpectralModel.decay_rate;
     at length pi it is the integer m**2, also for modes such as 11 where
     (m*pi)/pi would round away from it."""
     rates = {}
@@ -225,7 +226,7 @@ def test_mode_decay_rate_is_exactly_m_squared_at_length_pi(monkeypatch):
     # nor keep the recording's zeros for a later one
     spectral._slice_forcing.cache_clear()
     try:
-        spectral_propagate(model, spec, model.zero_state(64), 0.0, 0.5)
+        _propagate_one(spec, model.zero_state(64).values, (0.0, 0.5))
     finally:
         spectral._slice_forcing.cache_clear()
     assert rates[11] == 121.0
@@ -246,7 +247,7 @@ def test_forcing_memo_tells_models_with_one_source_apart(lengths):
     for length in lengths:
         model = SpectralModel(length, "sine", source)
         spec = PropagatorSpec(model, "fine", mode_count=8)
-        got = spectral_propagate(model, spec, model.zero_state(8), 0.25, 0.75).values
+        got = _propagate_one(spec, model.zero_state(8).values, (0.25, 0.75))
         rates = model.decay_rate(np.arange(1, 9))
         for position, mode in ((0, 1), (2, 3)):
             want = source_mode_integral(rates[position], source.mode_function(mode), 0.25, 0.75)

@@ -77,8 +77,32 @@ def sample_source(source: SourceTerm, x: np.ndarray, t: float) -> np.ndarray:
     return source.space_profile(x) * source.time_profile(t)
 
 
+class GridModel:
+    """What the grid models (heat, advection, wave) share: uniform cells of
+    width 1/n_cells, and states of the model's own ``layout()``."""
+
+    @property
+    def dx(self) -> float:
+        return 1.0 / self.n_cells
+
+    def zero_state(self) -> StateVector:
+        layout = self.layout()
+        return StateVector(layout, np.zeros(layout.size))
+
+    def check_spec(self, spec: PropagatorSpec | None, layout) -> bool:
+        """Raise ValueError unless ``layout`` is the model's own; a grid
+        spec always contributes."""
+        if layout != self.layout():
+            raise ValueError(f"state layout {layout} does not fit model {self}")
+        return True
+
+    def uncovered_rate(self, coarse: PropagatorSpec | None) -> None:
+        """Grid models give no analytic error bound."""
+        return None
+
+
 @dataclass(frozen=True)
-class HeatModel:
+class HeatModel(GridModel):
     """Heat equation on (0, 1) with n_cells uniform cells.
 
     bc "dirichlet" stores the n_cells - 1 interior unknowns; "neumann"
@@ -96,10 +120,6 @@ class HeatModel:
             raise ValueError(f"n_cells must be at least 2, got {self.n_cells}")
         if self.bc not in ("dirichlet", "neumann"):
             raise ValueError(f"unknown bc {self.bc!r}")
-
-    @property
-    def dx(self) -> float:
-        return 1.0 / self.n_cells
 
     @property
     def n_unknowns(self) -> int:
@@ -145,9 +165,6 @@ class HeatModel:
                 u = u + dt * (profile * pulses[:, None])
             return factor.solve(u)
         return step
-
-    def zero_state(self) -> StateVector:
-        return StateVector(self.layout(), np.zeros(self.n_unknowns))
 
 
 def conserved_mean(model: HeatModel, state: StateVector) -> float:
@@ -317,17 +334,11 @@ def _source_profile(model) -> np.ndarray | None:
     return profile
 
 
-def check_layout(model, state: StateVector):
-    """A grid model's state must have the model's own layout."""
-    if state.layout != model.layout():
-        raise ValueError(f"state layout {state.layout} does not fit model {model}")
-
-
 def grid_step(model, state: StateVector, t: float, dt: float) -> StateVector:
     """One step of a grid model's scheme from t to t + dt.  Builds its own
     stepper, so it is the reference the cached ``grid_propagate_stack``
     march is checked against."""
-    check_layout(model, state)
+    model.check_spec(None, state.layout)
     return state.with_values(model.stepper(dt)(state.values[None], [t])[0])
 
 
@@ -372,7 +383,7 @@ def grid_propagate_stack(model, spec: PropagatorSpec, states: np.ndarray,
     return u
 
 
-propagate_slice.register(HeatModel, grid_propagate_stack)
+propagate_slice.register(GridModel, grid_propagate_stack)
 
 
 def fd_decay_rate(model: HeatModel, m: int) -> float:

@@ -12,25 +12,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ConfigError,
-    GridLayout,
-    StateVector,
-    propagate_slice,
-)
+from .core import ConfigError, GridLayout, StateVector
 from .heat import (
+    GridModel,
     HeatModel,
     SourceTerm,
     TridiagonalSystem,
     _source_profile,
     _ThomasFactor,
-    grid_propagate_stack,
     identity_minus,
 )
 
 
 @dataclass(frozen=True)
-class AdvectionModel:
+class AdvectionModel(GridModel):
     """du/dt + speed * du/dx = f on (0, 1), first-order upwind (speed > 0).
 
     bc "periodic" wraps the last cell onto the first; "inflow" holds u = 0
@@ -52,10 +47,6 @@ class AdvectionModel:
             raise ValueError(f"unknown bc {self.bc!r}")
 
     @property
-    def dx(self) -> float:
-        return 1.0 / self.n_cells
-
-    @property
     def grid_x(self) -> np.ndarray:
         if self.bc == "periodic":
             return np.arange(0, self.n_cells) * self.dx
@@ -63,9 +54,6 @@ class AdvectionModel:
 
     def layout(self) -> GridLayout:
         return GridLayout(self.n_cells, self.dx, self.bc)
-
-    def zero_state(self) -> StateVector:
-        return StateVector(self.layout(), np.zeros(self.n_cells))
 
     def stepper(self, dt: float):
         """Upwind step u_j <- u_j - nu*(u_j - u_{j-1}) + dt*f(x_j, t) on a
@@ -93,7 +81,7 @@ class AdvectionModel:
 
 
 @dataclass(frozen=True)
-class WaveModel:
+class WaveModel(GridModel):
     """u_tt = u_xx on (0, 1) with u = 0 at both walls, kept as the first-order
     system (u, v) with v = u_t.  States stack the two interior fields, so the
     value array has 2*(n_cells - 1) entries: u first, then v.
@@ -104,10 +92,6 @@ class WaveModel:
     def __post_init__(self):
         if self.n_cells < 2:
             raise ValueError(f"n_cells must be at least 2, got {self.n_cells}")
-
-    @property
-    def dx(self) -> float:
-        return 1.0 / self.n_cells
 
     @property
     def n_unknowns(self) -> int:
@@ -160,6 +144,3 @@ def wave_energy(model: WaveModel, state: StateVector) -> float:
     d = np.diff(np.concatenate(([0.0], u, [0.0])))
     return float(model.dx * np.dot(v, v) + np.dot(d, d) / model.dx)
 
-
-propagate_slice.register(AdvectionModel, grid_propagate_stack)
-propagate_slice.register(WaveModel, grid_propagate_stack)

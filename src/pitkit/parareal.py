@@ -37,8 +37,6 @@ from .core import (
     propagate_slice,
 )
 from .factors import iteration_error_bound
-from .heat import check_layout
-from .spectral import SpectralModel, check_mode_layout
 
 GUESS_KINDS = ("default", "zero", "replicate_u0", "coarse_sweep", "random")
 
@@ -57,9 +55,12 @@ def check_boundary_size(n_slices: int, size: int) -> None:
 
 @dataclass(frozen=True)
 class PararealConfig:
-    """One parareal run.  ``coarse`` is None when there is no coarse
-    propagator; a spec that contributes nothing (role 'none', or a spectral
-    propagator keeping zero modes) is stored as None."""
+    """One parareal run.  Each spec's model answers for its own states:
+    ``model.check_spec(spec, layout)`` raises ValueError when states of
+    ``layout`` cannot go through ``spec``, and returns False when the spec
+    contributes nothing.  ``coarse`` is None when there is no coarse
+    propagator; a spec with role 'none' or one that contributes nothing is
+    stored as None."""
 
     partition: TimePartition
     u0: StateVector
@@ -84,17 +85,13 @@ class PararealConfig:
         coarse = self.coarse
         if coarse is not None and coarse.role not in ("coarse", "none"):
             raise ConfigError(f"coarse propagator has role {coarse.role!r}")
-        if coarse is not None and (coarse.role == "none" or (
-                isinstance(coarse.model, SpectralModel) and coarse.mode_count == 0)):
+        # propagators see raw value stacks, not layouts, so the layout the
+        # run's rows share is checked here, once, against both specs
+        self.fine.model.check_spec(self.fine, self.u0.layout)
+        if coarse is not None and (coarse.role == "none"
+                                   or not coarse.model.check_spec(coarse, self.u0.layout)):
             coarse = None
             object.__setattr__(self, "coarse", None)
-        # propagators see raw value stacks, not layouts, so the layout the
-        # run's rows share is checked here, once, against both models
-        for model in (self.fine.model, getattr(coarse, "model", None)):
-            if isinstance(model, SpectralModel):
-                check_mode_layout(model, self.u0)
-            elif hasattr(model, "layout"):
-                check_layout(model, self.u0)
         if self.initial_guess not in GUESS_KINDS:
             raise ConfigError(
                 f"unknown initial_guess {self.initial_guess!r}, expected one of {GUESS_KINDS}"
@@ -103,12 +100,6 @@ class PararealConfig:
             raise ConfigError(f"tolerance must be >= 0, got {self.tolerance}")
         if self.initial_guess == "coarse_sweep" and coarse is None:
             raise ConfigError("initial_guess 'coarse_sweep' requires a coarse propagator")
-        if coarse is not None and isinstance(self.fine.model, SpectralModel):
-            if coarse.mode_count >= self.fine.mode_count:
-                raise ConfigError(
-                    "coarse propagator must resolve fewer modes than the fine one, "
-                    f"got mode_count {coarse.mode_count} >= {self.fine.mode_count}"
-                )
 
     @property
     def resolved_guess(self) -> str:
@@ -224,12 +215,12 @@ def run(config: PararealConfig, *,
     """Run the iteration against the sequential fine reference.
 
     Returns a trace whose ``errors[k, n]`` is the error at slice boundary n
-    after k sweeps, in the discrete L2 norm of the fine model.  For spectral
-    models the trace also carries the analytic bound exp(-rate*k*dT) *
-    sup-error(0) per sweep, where rate is the decay of the slowest mode the
-    coarse propagator does not resolve.  Stops early once the sup error over
-    boundaries falls below config.tolerance.  ``on_iteration(k, values)``
-    receives each sweep's read-only (N+1, size) boundary values.
+    after k sweeps, in the discrete L2 norm of the fine model.  Where the
+    fine model gives a rate, ``fine.model.uncovered_rate(coarse)``, the trace
+    also carries the analytic bound exp(-rate*k*dT) * sup-error(0) per
+    sweep.  Stops early once the sup error over boundaries falls below
+    config.tolerance.  ``on_iteration(k, values)`` receives each sweep's
+    read-only (N+1, size) boundary values.
     """
     reference = reference_fine_sequential(config)
     # a value bitwise equal to a finite reference value has error exactly
@@ -262,9 +253,8 @@ def run(config: PararealConfig, *,
             on_iteration(k, values)
 
     bounds = [None] * len(errors)
-    if isinstance(config.fine.model, SpectralModel):
-        covered = 0 if config.coarse is None else config.coarse.mode_count
-        rate = config.fine.model.slowest_uncovered_rate(covered)
+    rate = config.fine.model.uncovered_rate(config.coarse)
+    if rate is not None:
         sup0 = float(errors[0].max())
         bounds = [iteration_error_bound(k, config.partition.delta_t, rate, sup0)
                   for k in range(len(errors))]

@@ -287,8 +287,9 @@ def build_parareal(config: ExperimentConfig) -> PararealConfig:
     with _config_keys("partition.t_end", "partition.t_start", "partition.n_slices"):
         partition = make_uniform_partition(config.t_end, config.n_slices, config.t_start)
     if config.model_kind == "spectral":
-        with _config_keys("fine.mode_count"):
-            fine = PropagatorSpec(model, "fine", mode_count=config.fine_modes)
+        # the fine propagator advances every value of u0: fine.mode_count
+        # sizes the state, which holds one more value in the cosine basis
+        fine = PropagatorSpec(model, "fine", mode_count=u0.layout.size)
         with _config_keys("coarse.mode_count"):
             coarse = PropagatorSpec(model, config.coarse_role, mode_count=config.coarse_modes)
     else:

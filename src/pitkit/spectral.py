@@ -139,12 +139,27 @@ class SpectralModel:
             values[position] = a
         return StateVector(layout, values)
 
-    def slowest_uncovered_rate(self, covered_modes: int) -> float:
-        """Decay rate of the slowest mode a coarse propagator with
-        ``covered_modes`` retained modes does not handle."""
-        if self.basis == "sine":
-            return self.decay_rate(covered_modes + 1)
-        return self.decay_rate(covered_modes)
+    def check_spec(self, spec: PropagatorSpec, layout) -> bool:
+        """Raise ValueError unless ``layout`` holds modes of the model's basis
+        on its interval and ``spec`` fits it: a fine spec advances every
+        value of the state, a coarse one fewer.  False for a coarse spec
+        keeping zero modes, which contributes nothing."""
+        if not isinstance(layout, ModeLayout) or layout.basis != self.basis or layout.length != self.length:
+            raise ValueError(f"state layout {layout} does not fit model {self}")
+        if spec.role == "fine":
+            if spec.mode_count != layout.size:
+                raise ValueError(f"fine mode_count {spec.mode_count} does not fit "
+                                 f"the state's {layout.size} values")
+            return True
+        if spec.mode_count >= layout.size:
+            raise ConfigError("coarse propagator must resolve fewer modes than the fine one, "
+                              f"got mode_count {spec.mode_count} >= {layout.size}")
+        return spec.mode_count > 0
+
+    def uncovered_rate(self, coarse: Optional[PropagatorSpec]) -> float:
+        """Decay rate of the slowest mode the coarse propagator (None: no
+        coarse propagator) does not resolve."""
+        return self.decay_rate(self.mode_index(0 if coarse is None else coarse.mode_count))
 
 
 # --------------------------------------------------------------------------
@@ -180,13 +195,6 @@ def exact_mode_solution(rate: float, u0: float, source_fn: Optional[Callable],
                         t: float, t_from: float = 0.0) -> float:
     """Mode value at time t given the value u0 at t_from."""
     return u0 * math.exp(-rate * (t - t_from)) + source_mode_integral(rate, source_fn, t_from, t)
-
-
-def check_mode_layout(model: SpectralModel, state: StateVector):
-    """A spectral model's state must hold modes of its basis on its interval."""
-    layout = state.layout
-    if not isinstance(layout, ModeLayout) or layout.basis != model.basis or layout.length != model.length:
-        raise ValueError(f"state layout {layout} does not fit model {model}")
 
 
 def _kept_rates(model: SpectralModel, kept: int) -> np.ndarray:

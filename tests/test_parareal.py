@@ -146,7 +146,7 @@ def test_bound_attained_when_uncovered_modes_carry_the_error():
     config = _spectral_config(m_coarse=1, guess="zero",
                               coefficients={2: 1.0, 8: 0.7}, max_iterations=5)
     trace = run(config)
-    rate = config.fine.model.slowest_uncovered_rate(1)
+    rate = config.fine.model.uncovered_rate(config.coarse)
     sup0 = max(trace.errors_at(0))
     for k in trace.iterations():
         want = math.exp(-rate * k * config.partition.delta_t) * sup0
@@ -157,7 +157,7 @@ def test_error_bound_holds_for_random_guess():
     config = _spectral_config(m_coarse=1, guess="random", seed=7)
     trace = run(config)
     model = config.fine.model
-    rate = model.slowest_uncovered_rate(1)
+    rate = model.uncovered_rate(config.coarse)
     sup0 = max(trace.errors_at(0))
     for k in trace.iterations():
         sup = max(trace.errors_at(k))
@@ -169,7 +169,7 @@ def test_trace_bound_column_matches_analytic_formula():
     config = _spectral_config(m_coarse=3, guess="zero",
                               coefficients={1: 1.0, 2: 0.9, 3: 0.8, 4: 0.7, 8: 0.4})
     trace = run(config)
-    rate = config.fine.model.slowest_uncovered_rate(3)
+    rate = config.fine.model.uncovered_rate(config.coarse)
     sup0 = max(trace.errors_at(0))
     for k in trace.iterations():
         want = math.exp(-rate * k * config.partition.delta_t) * sup0
@@ -184,6 +184,20 @@ def test_spectral_reference_is_pure_decay_without_source():
     for n, row in enumerate(reference):
         t = config.partition.boundaries[n]
         assert row[1] == pytest.approx(1.5 * math.exp(-rate * t), rel=1e-13)
+
+
+def test_cosine_fine_propagator_advances_the_top_mode(tmp_path):
+    """In the cosine basis fine.mode_count = 4 sizes a state of modes 0..4,
+    and the fine propagator advances all five of them."""
+    ini = tmp_path / "cosine.ini"
+    ini.write_text("[model]\nkind = spectral\nbasis = cosine\nlength = 1.0\n"
+                   "[initial]\nkind = modes\nmodes = 0:1.0 4:1.0\n"
+                   "[partition]\nt_end = 0.01\nn_slices = 2\n"
+                   "[fine]\nmode_count = 4\n[coarse]\nrole = none\n")
+    reference = reference_fine_sequential(build_parareal(load_config(str(ini))))
+    assert reference.shape == (3, 5)
+    assert reference[2, 0] == 1.0
+    assert reference[2, 4] == pytest.approx(math.exp(-(4 * math.pi) ** 2 * 0.01), rel=1e-12)
 
 
 # ------------------------------------------------------------ oracle check
@@ -416,7 +430,8 @@ def test_u0_that_does_not_fit_the_model_is_rejected():
     """Propagators see raw stacks, so the layout is checked with the config,
     against the fine and the coarse model alike: a Neumann state of 15
     unknowns does not fit a Dirichlet model of 15, nor a cosine-mode state a
-    sine model; the coarse model gets the same rows as the fine one, so a
+    sine model, nor a 4-mode state a fine spec of 8 modes or an 8-mode state
+    one of 4; the coarse model gets the same rows as the fine one, so a
     Dirichlet state of 31 unknowns fits no coarse Neumann grid of 31, no
     coarser grid and no mode model."""
     heat_model = HeatModel(n_cells=16, bc="dirichlet")
@@ -427,6 +442,8 @@ def test_u0_that_does_not_fit_the_model_is_rejected():
          PropagatorSpec(heat_model, "fine", steps_per_slice=2), None),
         (SpectralModel(basis="cosine").zero_state(4),
          PropagatorSpec(spectral_model, "fine", mode_count=4), None),
+        (spectral_model.zero_state(4), PropagatorSpec(spectral_model, "fine", mode_count=8), None),
+        (spectral_model.zero_state(8), PropagatorSpec(spectral_model, "fine", mode_count=4), None),
         (HeatModel(n_cells=32).zero_state(), fine_32,
          PropagatorSpec(HeatModel(n_cells=30, bc="neumann"), "coarse", steps_per_slice=1)),
         (HeatModel(n_cells=32).zero_state(), fine_32,
@@ -441,11 +458,71 @@ def test_u0_that_does_not_fit_the_model_is_rejected():
 class _NanAfterOne:
     """Identity propagator that returns NaN for slices ending after t = 1."""
 
+    def check_spec(self, spec, layout):
+        return True
+
+    def uncovered_rate(self, coarse):
+        return None
+
 
 propagate_slice.register(
     _NanAfterOne,
     lambda model, spec, states, t0, t1: states * np.where(np.asarray(t1) > 1.0, math.nan, 1.0)[:, None],
 )
+
+
+class _CoarseGrid:
+    """A coarse model in a smaller space: it injects a HeatModel(32) state
+    onto HeatModel(16)'s grid, advances it there, and interpolates it
+    linearly back."""
+
+    fine = HeatModel(32, "dirichlet", SourceTerm.pulsed())
+    coarse = HeatModel(16, "dirichlet", SourceTerm.pulsed())
+
+    def check_spec(self, spec, layout):
+        return self.fine.check_spec(spec, layout)
+
+    def uncovered_rate(self, coarse):
+        return None
+
+
+def _coarse_grid_propagate(model, spec, states, t_from, t_to):
+    # fine unknown j sits at x = (j + 1)/32, so the odd j form the coarse grid
+    inner = propagate_slice(model.coarse, spec, states[:, 1::2], t_from, t_to)
+    walls = np.zeros((len(inner), 1))
+    padded = np.concatenate((walls, inner, walls), axis=1)
+    out = np.empty(states.shape)
+    out[:, 1::2] = inner
+    out[:, 0::2] = 0.5 * (padded[:, :-1] + padded[:, 1:])
+    return out
+
+
+propagate_slice.register(_CoarseGrid, _coarse_grid_propagate)
+
+
+def test_coarse_model_in_a_smaller_space_plugs_in():
+    """A coarse model whose class and space differ from the fine model's
+    restricts and prolongs inside its own registered propagator; run() only
+    asks it check_spec and uncovered_rate."""
+    fine = _CoarseGrid.fine
+    config = PararealConfig(make_uniform_partition(3.0, 6), fine.zero_state(),
+                            PropagatorSpec(fine, "fine", steps_per_slice=48),
+                            PropagatorSpec(_CoarseGrid(), "coarse", steps_per_slice=6),
+                            max_iterations=6, tolerance=0.0)
+    assert config.resolved_guess == "coarse_sweep"
+    reference = reference_fine_sequential(config)
+    recorded = {}
+    trace = run(config, on_iteration=recorded.__setitem__)
+    for k, values in recorded.items():
+        assert values[:k + 1].tobytes() == reference[:k + 1].tobytes(), f"sweep {k}"
+        assert trace.errors[k, k + 1:].all()
+    assert sorted(recorded) == list(range(1, 7))
+    assert trace.errors[1].max() < 0.1 * trace.errors[0].max()
+    neumann = HeatModel(32, "neumann")
+    with pytest.raises(ValueError, match="does not fit"):
+        PararealConfig(make_uniform_partition(3.0, 6), neumann.zero_state(),
+                       PropagatorSpec(neumann, "fine", steps_per_slice=48),
+                       PropagatorSpec(_CoarseGrid(), "coarse", steps_per_slice=6))
 
 
 def test_non_finite_error_past_boundary_0_is_a_numerical_failure():

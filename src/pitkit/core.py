@@ -7,7 +7,6 @@ stay pure functions.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -24,6 +23,11 @@ class NumericalError(Exception):
 
 class SingularSystemError(NumericalError):
     """Tridiagonal elimination hit a zero pivot."""
+
+
+# Most float64 values one array of a run may hold, 32 MiB: its (N+1) x size
+# boundary values, its (K+1) x (N+1) trace or one quadrature's nodes.
+MAX_RUN_VALUES = 2**22
 
 
 # --------------------------------------------------------------------------
@@ -127,6 +131,10 @@ class TimePartition:
             raise ValueError(f"need t_end > t_start, got [{self.t_start}, {self.t_end}]")
         if self.n_slices < 1:
             raise ValueError(f"n_slices must be positive, got {self.n_slices}")
+        # boundary n is t_start + n * span / n_slices, so n_slices * span must be finite
+        if not np.isfinite(self.n_slices * (self.t_end - self.t_start)):
+            raise ValueError(f"need a finite n_slices * (t_end - t_start), got "
+                             f"{self.n_slices} * ({self.t_end} - {self.t_start})")
 
     @property
     def delta_t(self) -> float:
@@ -158,8 +166,8 @@ class PropagatorSpec:
     """Which model advances a state across one slice, and at what resolution.
 
     Grid models use ``steps_per_slice`` inner steps; spectral models keep
-    ``mode_count`` modes.  ``PararealConfig`` drops a coarse spec that
-    contributes nothing (role "none", or zero spectral modes).
+    ``mode_count`` modes.  A run without a coarse propagator has no coarse
+    spec: its ``PararealConfig`` gets ``coarse=None``.
     """
 
     model: object
@@ -168,26 +176,26 @@ class PropagatorSpec:
     mode_count: int = 0
 
     def __post_init__(self):
-        if self.role not in ("fine", "coarse", "none"):
+        if self.role not in ("fine", "coarse"):
             raise ValueError(f"unknown role {self.role!r}")
         if self.steps_per_slice < 0:
             raise ValueError("steps_per_slice cannot be negative")
         if self.mode_count < 0:
             raise ValueError("mode_count cannot be negative")
-        if self.role == "fine" and self.model is None:
-            raise ValueError("fine spec needs a model")
+        if self.model is None:
+            raise ValueError(f"{self.role} spec needs a model")
 
 
-@functools.singledispatch
 def propagate_slice(model, spec: PropagatorSpec, states: np.ndarray,
                     t_from, t_to) -> np.ndarray:
     """Advance each row i of the stack ``states[m, size]`` from t_from[i]
     to t_to[i] with the given model; returns the new stack.
 
-    Model modules register concrete implementations; the driver only ever
-    calls this entry point, once per stack of slices of equal length.
+    Each model brings its own ``propagate(spec, states, t_from, t_to)``;
+    the driver only ever calls this entry point, once per stack of slices
+    of equal length.
     """
-    raise TypeError(f"no propagator registered for {type(model).__name__}")
+    return model.propagate(spec, states, t_from, t_to)
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from .core import (
     PropagatorSpec,
     SingularSystemError,
     StateVector,
-    propagate_slice,
 )
 
 # default source used by the experiment presets: a Gaussian bump in space,
@@ -89,12 +88,42 @@ class GridModel:
         layout = self.layout()
         return StateVector(layout, np.zeros(layout.size))
 
-    def check_spec(self, spec: PropagatorSpec | None, layout) -> bool:
-        """Raise ValueError unless ``layout`` is the model's own; a grid
-        spec always contributes."""
+    def check_spec(self, spec: PropagatorSpec | None, layout) -> None:
+        """Raise ValueError unless ``layout`` is the model's own."""
         if layout != self.layout():
             raise ValueError(f"state layout {layout} does not fit model {self}")
-        return True
+
+    def propagate(self, spec: PropagatorSpec, states: np.ndarray, t_from, t_to) -> np.ndarray:
+        """Advance each row i of the stack states[m, size] from t_from[i]
+        to t_to[i] with spec.steps_per_slice equal steps.
+
+        The rows share one stepper, so their substep lengths must agree bit
+        for bit.  Substep times are computed multiplicatively from the slice
+        ends so a sweep over adjacent slices hits exactly the same instants as
+        one long propagate over their union.
+        """
+        steps = spec.steps_per_slice
+        if steps < 1:
+            raise ConfigError(f"{spec.role}.steps_per_slice: must be >= 1, got {steps}")
+        t_from = np.asarray(t_from, dtype=float).tolist()
+        t_to = np.asarray(t_to, dtype=float).tolist()
+        size = self.layout().size
+        if states.shape != (len(t_from), size) or len(t_to) != len(t_from):
+            raise ValueError(f"need a stack of {len(t_from)} rows of {size} values, got {states.shape}")
+        spans = [b - a for a, b in zip(t_from, t_to)]
+        if not all(span > 0.0 for span in spans):
+            raise ValueError(f"need t_to > t_from, got [{t_from}, {t_to}]")
+        dts = {span / steps for span in spans}
+        if len(dts) != 1:
+            raise ValueError(f"the rows of one stack need one substep length, got {sorted(dts)}")
+        try:
+            step = _cached_stepper(self, dts.pop())
+        except ConfigError as exc:
+            raise ConfigError(f"{spec.role}.steps_per_slice: {exc}") from None
+        u = states
+        for i in range(steps):
+            u = step(u, [a + (i * span) / steps for a, span in zip(t_from, spans)])
+        return u
 
     def uncovered_rate(self, coarse: PropagatorSpec | None) -> None:
         """Grid models give no analytic error bound."""
@@ -336,7 +365,7 @@ def _source_profile(model) -> np.ndarray | None:
 
 def grid_step(model, state: StateVector, t: float, dt: float) -> StateVector:
     """One step of a grid model's scheme from t to t + dt.  Builds its own
-    stepper, so it is the reference the cached ``grid_propagate_stack``
+    stepper, so it is the reference the cached ``GridModel.propagate``
     march is checked against."""
     model.check_spec(None, state.layout)
     return state.with_values(model.stepper(dt)(state.values[None], [t])[0])
@@ -347,43 +376,6 @@ def _cached_stepper(model, dt: float):
     """A grid model's step with substep dt, shared by every propagation of
     the model with that substep."""
     return model.stepper(dt)
-
-
-def grid_propagate_stack(model, spec: PropagatorSpec, states: np.ndarray,
-                         t_from, t_to) -> np.ndarray:
-    """Advance each row i of the stack states[m, size] of a grid model from
-    t_from[i] to t_to[i] with spec.steps_per_slice equal steps.
-
-    The rows share one stepper, so their substep lengths must agree bit
-    for bit.  Substep times are computed multiplicatively from the slice
-    ends so a sweep over adjacent slices hits exactly the same instants as
-    one long propagate over their union.
-    """
-    steps = spec.steps_per_slice
-    if steps < 1:
-        raise ConfigError(f"{spec.role}.steps_per_slice: must be >= 1, got {steps}")
-    t_from = np.asarray(t_from, dtype=float).tolist()
-    t_to = np.asarray(t_to, dtype=float).tolist()
-    size = model.layout().size
-    if states.shape != (len(t_from), size) or len(t_to) != len(t_from):
-        raise ValueError(f"need a stack of {len(t_from)} rows of {size} values, got {states.shape}")
-    spans = [b - a for a, b in zip(t_from, t_to)]
-    if not all(span > 0.0 for span in spans):
-        raise ValueError(f"need t_to > t_from, got [{t_from}, {t_to}]")
-    dts = {span / steps for span in spans}
-    if len(dts) != 1:
-        raise ValueError(f"the rows of one stack need one substep length, got {sorted(dts)}")
-    try:
-        step = _cached_stepper(model, dts.pop())
-    except ConfigError as exc:
-        raise ConfigError(f"{spec.role}.steps_per_slice: {exc}") from None
-    u = states
-    for i in range(steps):
-        u = step(u, [a + (i * span) / steps for a, span in zip(t_from, spans)])
-    return u
-
-
-propagate_slice.register(GridModel, grid_propagate_stack)
 
 
 def fd_decay_rate(model: HeatModel, m: int) -> float:

@@ -27,6 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (
+    MAX_RUN_VALUES,
     ConfigError,
     IterationTrace,
     NumericalError,
@@ -39,10 +40,6 @@ from .core import (
 from .factors import iteration_error_bound
 
 GUESS_KINDS = ("default", "zero", "replicate_u0", "coarse_sweep", "random")
-
-# Most float64 values a run may hold in its boundary array, (N+1) x size,
-# or in its trace, (K+1) x (N+1): 32 MiB each.
-MAX_RUN_VALUES = 2**22
 
 
 def check_boundary_size(n_slices: int, size: int) -> None:
@@ -57,10 +54,8 @@ def check_boundary_size(n_slices: int, size: int) -> None:
 class PararealConfig:
     """One parareal run.  Each spec's model answers for its own states:
     ``model.check_spec(spec, layout)`` raises ValueError when states of
-    ``layout`` cannot go through ``spec``, and returns False when the spec
-    contributes nothing.  ``coarse`` is None when there is no coarse
-    propagator; a spec with role 'none' or one that contributes nothing is
-    stored as None."""
+    ``layout`` cannot go through ``spec``.  ``coarse`` is None when there is
+    no coarse propagator."""
 
     partition: TimePartition
     u0: StateVector
@@ -82,16 +77,14 @@ class PararealConfig:
                               f"exceeds the limit of {MAX_RUN_VALUES} values a run may hold")
         if self.fine.role != "fine":
             raise ConfigError(f"fine propagator has role {self.fine.role!r}")
-        coarse = self.coarse
-        if coarse is not None and coarse.role not in ("coarse", "none"):
-            raise ConfigError(f"coarse propagator has role {coarse.role!r}")
         # propagators see raw value stacks, not layouts, so the layout the
         # run's rows share is checked here, once, against both specs
         self.fine.model.check_spec(self.fine, self.u0.layout)
-        if coarse is not None and (coarse.role == "none"
-                                   or not coarse.model.check_spec(coarse, self.u0.layout)):
-            coarse = None
-            object.__setattr__(self, "coarse", None)
+        coarse = self.coarse
+        if coarse is not None:
+            if coarse.role != "coarse":
+                raise ConfigError(f"coarse propagator has role {coarse.role!r}")
+            coarse.model.check_spec(coarse, self.u0.layout)
         if self.initial_guess not in GUESS_KINDS:
             raise ConfigError(
                 f"unknown initial_guess {self.initial_guess!r}, expected one of {GUESS_KINDS}"

@@ -291,13 +291,17 @@ def build_parareal(config: ExperimentConfig) -> PararealConfig:
         # sizes the state, which holds one more value in the cosine basis
         fine = PropagatorSpec(model, "fine", mode_count=u0.layout.size)
         with _config_keys("coarse.mode_count"):
-            coarse = PropagatorSpec(model, config.coarse_role, mode_count=config.coarse_modes)
+            coarse = PropagatorSpec(model, "coarse", mode_count=config.coarse_modes)
     else:
         with _config_keys("fine.steps_per_slice"):
             fine = PropagatorSpec(model, "fine", steps_per_slice=config.fine_steps)
         with _config_keys("coarse.steps_per_slice"):
-            coarse = PropagatorSpec(model, config.coarse_role, steps_per_slice=config.coarse_steps)
-    with _config_keys("run.iterations", "run.tolerance", "run.initial_guess", "coarse.mode_count"):
+            coarse = PropagatorSpec(model, "coarse", steps_per_slice=config.coarse_steps)
+    # the INI has two spellings of "no coarse propagator"; the spec is built
+    # first, so a bad coarse value is rejected under either
+    if config.coarse_role == "none" or (config.model_kind == "spectral" and config.coarse_modes == 0):
+        coarse = None
+    with _config_keys("run.iterations", "run.tolerance", "run.initial_guess", "coarse.mode_count", "model.length"):
         return PararealConfig(
             partition=partition,
             u0=u0,

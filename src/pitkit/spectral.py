@@ -22,12 +22,12 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .core import (
+    MAX_RUN_VALUES,
     ConfigError,
     GridLayout,
     ModeLayout,
     PropagatorSpec,
     StateVector,
-    propagate_slice,
 )
 from .heat import PULSE_TIMES
 
@@ -139,22 +139,43 @@ class SpectralModel:
             values[position] = a
         return StateVector(layout, values)
 
-    def check_spec(self, spec: PropagatorSpec, layout) -> bool:
+    def check_spec(self, spec: PropagatorSpec, layout) -> None:
         """Raise ValueError unless ``layout`` holds modes of the model's basis
-        on its interval and ``spec`` fits it: a fine spec advances every
-        value of the state, a coarse one fewer.  False for a coarse spec
-        keeping zero modes, which contributes nothing."""
+        on its interval, all with finite decay rates, and ``spec`` fits it: a
+        fine spec advances every value, a coarse one fewer but at least one."""
         if not isinstance(layout, ModeLayout) or layout.basis != self.basis or layout.length != self.length:
             raise ValueError(f"state layout {layout} does not fit model {self}")
+        top = self.mode_index(layout.size - 1)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.decay_rate(np.float64(top))):
+                raise ValueError(f"length {self.length} gives mode {top} a decay rate that is not finite")
         if spec.role == "fine":
             if spec.mode_count != layout.size:
                 raise ValueError(f"fine mode_count {spec.mode_count} does not fit "
                                  f"the state's {layout.size} values")
-            return True
-        if spec.mode_count >= layout.size:
-            raise ConfigError("coarse propagator must resolve fewer modes than the fine one, "
-                              f"got mode_count {spec.mode_count} >= {layout.size}")
-        return spec.mode_count > 0
+        elif not 0 < spec.mode_count < layout.size:
+            raise ConfigError("coarse propagator must resolve fewer modes than the fine one, and at "
+                              "least one (pass coarse=None for no coarse propagator), got "
+                              f"mode_count {spec.mode_count} of {layout.size}")
+
+    def propagate(self, spec: PropagatorSpec, states: np.ndarray, t_from, t_to) -> np.ndarray:
+        """Advance the first spec.mode_count modes of each row i of the stack
+        states[m, size] exactly from t_from[i] to t_to[i], one row at a time;
+        zero the rest."""
+        kept = spec.mode_count
+        if kept > states.shape[-1]:
+            raise ConfigError(f"mode_count {kept} exceeds the state's {states.shape[-1]} modes")
+        out = np.zeros(states.shape)
+        rates = _kept_rates(self, kept)
+        forced = _forced_positions(self, kept)
+        for u, values, t0, t1 in zip(states, out, np.asarray(t_from, dtype=float).tolist(),
+                                     np.asarray(t_to, dtype=float).tolist(), strict=True):
+            if not t1 > t0:
+                raise ValueError(f"need t_to > t_from, got [{t0}, {t1}]")
+            values[:kept] = u[:kept] * np.exp(-rates * (t1 - t0))
+            for position in forced:
+                values[position] += _slice_forcing(self, position, t0, t1)
+        return out
 
     def uncovered_rate(self, coarse: Optional[PropagatorSpec]) -> float:
         """Decay rate of the slowest mode the coarse propagator (None: no
@@ -173,6 +194,7 @@ def source_mode_integral(rate: float, source_fn: Optional[Callable], t_from: flo
     at most min(0.01, span/8) so the pulse-train sources are resolved, and
     shrinks further for fast-decaying modes so rate*width stays moderate.
     Deterministic: the panel count depends only on (rate, t_from, t_to).
+    More than MAX_RUN_VALUES nodes raise ConfigError before any is made.
     """
     if rate < 0.0:
         raise ValueError(f"rate must be nonnegative, got {rate}")
@@ -181,7 +203,11 @@ def source_mode_integral(rate: float, source_fn: Optional[Callable], t_from: flo
     if source_fn is None or t_to == t_from:
         return 0.0
     span = t_to - t_from
-    n_panels = max(8, math.ceil(span / 0.01), math.ceil(span * rate / 8.0))
+    panels = max(8.0, span / 0.01, span * rate / 8.0)
+    if 16 * panels > MAX_RUN_VALUES:
+        raise ConfigError(f"a source integral over [{t_from}, {t_to}] needs {16 * panels:.3g} "
+                          f"quadrature nodes, above the limit of {MAX_RUN_VALUES} a run may hold")
+    n_panels = math.ceil(panels)
     edges = t_from + span * np.arange(n_panels + 1) / n_panels
     half = 0.5 * span / n_panels
     centers = 0.5 * (edges[:-1] + edges[1:])
@@ -220,30 +246,6 @@ def _slice_forcing(model: SpectralModel, position: int, t0: float, t1: float) ->
     rate = _kept_rates(model, position + 1)[position]
     fn = model.source.mode_function(model.mode_index(position))
     return source_mode_integral(rate, fn, t0, t1)
-
-
-def spectral_propagate_stack(model: SpectralModel, spec: PropagatorSpec, states: np.ndarray,
-                             t_from, t_to) -> np.ndarray:
-    """Advance the first spec.mode_count modes of each row i of the stack
-    states[m, size] exactly from t_from[i] to t_to[i], one row at a time;
-    zero the rest."""
-    kept = spec.mode_count
-    if kept > states.shape[-1]:
-        raise ConfigError(f"mode_count {kept} exceeds the state's {states.shape[-1]} modes")
-    out = np.zeros(states.shape)
-    rates = _kept_rates(model, kept)
-    forced = _forced_positions(model, kept)
-    for u, values, t0, t1 in zip(states, out, np.asarray(t_from, dtype=float).tolist(),
-                                 np.asarray(t_to, dtype=float).tolist(), strict=True):
-        if not t1 > t0:
-            raise ValueError(f"need t_to > t_from, got [{t0}, {t1}]")
-        values[:kept] = u[:kept] * np.exp(-rates * (t1 - t0))
-        for position in forced:
-            values[position] += _slice_forcing(model, position, t0, t1)
-    return out
-
-
-propagate_slice.register(SpectralModel, spectral_propagate_stack)
 
 
 # --------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def _spectral_run(m_g: int, guess: str, m_fine: int = 64, n_slices: int = 6,
         partition=make_uniform_partition(t_end, n_slices),
         u0=model.state_from_modes(amplitudes, m_fine),
         fine=PropagatorSpec(model, "fine", mode_count=m_fine),
-        coarse=PropagatorSpec(model, "coarse", mode_count=m_g),
+        coarse=PropagatorSpec(model, "coarse", mode_count=m_g) if m_g else None,
         max_iterations=iterations,
         initial_guess=guess,
         tolerance=0.0,

@@ -319,6 +319,8 @@ _BAD_RUN_CONFIGS = {
                                     "run.initial_guess: initial_guess 'coarse_sweep' requires"),
     "t_end-nan": ("[partition]\nt_end = nan\n", "partition.t_end: expected a finite number"),
     "t_end-inf": ("[partition]\nt_end = inf\n", "partition.t_end: expected a finite number"),
+    "span-overflow": ("[partition]\nt_start = -1e308\nt_end = 1e308\n",
+                      "partition.t_end: need a finite n_slices * (t_end - t_start)"),
     "tolerance-nan": ("[run]\ntolerance = nan\n", "run.tolerance: expected a finite number"),
     "mode-coefficient-nan": ("[model]\nkind = spectral\n[source]\nkind = zero\n"
                              "[initial]\nkind = modes\nmodes = 1:nan\n",
@@ -334,6 +336,16 @@ _BAD_RUN_CONFIGS = {
                                   "fine.mode_count / partition.n_slices: 49 slice boundaries"),
     "iterations-past-limit": ("[run]\niterations = 1000000000000\n",
                               "run.iterations: max_iterations 1000000000000: a trace"),
+    "spectral-quadrature-past-limit-long-slice": (
+        "[model]\nkind = spectral\n[source]\nkind = pulsed\nmodes = 1:1.0\n"
+        "[partition]\nt_end = 1e300\nn_slices = 1\n", "quadrature nodes, above the limit of 4194304"),
+    "spectral-quadrature-past-limit-fast-mode": (
+        "[model]\nkind = spectral\nlength = 1e-100\n[source]\nkind = pulsed\nmodes = 1:1.0\n"
+        "[partition]\nn_slices = 1\n", "quadrature nodes, above the limit of 4194304"),
+    # the top mode's decay rate overflows; checked before the reference run
+    "spectral-length-past-rate-limit": (
+        "[model]\nkind = spectral\nlength = 1e-300\n[source]\nkind = zero\n",
+        "model.length: length 1e-300 gives mode 64 a decay rate that is not finite"),
 }
 
 

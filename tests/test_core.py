@@ -92,7 +92,7 @@ def test_propagator_spec_roles():
 def test_propagate_slice_rejects_unknown_model():
     spec = PropagatorSpec(object(), "fine", steps_per_slice=1)
     state = StateVector(GridLayout(2, 0.5, "dirichlet"), [0.0, 0.0])
-    with pytest.raises(TypeError):
+    with pytest.raises(AttributeError, match="propagate"):
         propagate_slice(object(), spec, state, 0.0, 1.0)
 
 

@@ -131,7 +131,7 @@ _MARCH_CASES = {
 
 @pytest.mark.parametrize("case", list(_MARCH_CASES))
 def test_propagate_equals_uncached_step_loop_bitwise(case):
-    """The cached stepper of ``grid_propagate_stack`` gives the bits of grid_step,
+    """The cached stepper of ``GridModel.propagate`` gives the bits of grid_step,
     which builds the model's factor and source profile on every call; two
     slice lengths, so a cache that ignores the substep fails."""
     model, steps, t_from, t_to, seed = _MARCH_CASES[case]

@@ -16,7 +16,6 @@ from pitkit.core import (
     PropagatorSpec,
     StateVector,
     make_uniform_partition,
-    propagate_slice,
 )
 import pitkit
 from pitkit import heat, parareal
@@ -34,6 +33,7 @@ from pitkit.presets import (
     build_parareal,
     experiment_preset,
     load_config,
+    without_coarse,
 )
 from pitkit.spectral import ModeSource, SpectralModel
 
@@ -62,7 +62,7 @@ def _spectral_config(m_fine=8, m_coarse=0, guess="zero", coefficients=None, **ov
         partition=make_uniform_partition(3.0, 6),
         u0=model.state_from_modes(amplitudes, m_fine),
         fine=PropagatorSpec(model, "fine", mode_count=m_fine),
-        coarse=PropagatorSpec(model, "coarse", mode_count=m_coarse),
+        coarse=PropagatorSpec(model, "coarse", mode_count=m_coarse) if m_coarse else None,
         max_iterations=6,
         initial_guess=guess,
         tolerance=0.0,
@@ -365,13 +365,18 @@ def test_default_guess_follows_coarse_availability():
     assert _heat_config(guess="default", coarse=False).resolved_guess == "replicate_u0"
 
 
-def test_coarse_that_contributes_nothing_is_stored_as_none():
-    heat = _heat_config(coarse=False)
-    spec = PropagatorSpec(heat.fine.model, "none", steps_per_slice=1)
-    assert dataclasses.replace(heat, coarse=spec).coarse is None
-    assert _spectral_config(m_coarse=0).coarse is None
+def test_no_coarse_propagator_is_spelled_coarse_none():
+    """coarse=None is the library's one spelling of "no coarse propagator";
+    build_parareal maps the INI's two spellings, coarse.role = none and a
+    spectral coarse.mode_count = 0, to it."""
+    with pytest.raises(ValueError, match="unknown role 'none'"):
+        PropagatorSpec(HeatModel(), "none", steps_per_slice=1)
+    with pytest.raises(ConfigError, match="pass coarse=None"):
+        _spectral_config(coarse=PropagatorSpec(SpectralModel(), "coarse", mode_count=0))
     assert _spectral_config(m_coarse=2).coarse.mode_count == 2
     assert _heat_config(coarse=True).coarse.role == "coarse"
+    assert build_parareal(experiment_preset("spectral-mG0")).coarse is None
+    assert build_parareal(without_coarse(experiment_preset("heat-dirichlet-N6"))).coarse is None
 
 
 # ------------------------------------------------------------- validation
@@ -459,16 +464,13 @@ class _NanAfterOne:
     """Identity propagator that returns NaN for slices ending after t = 1."""
 
     def check_spec(self, spec, layout):
-        return True
+        pass
+
+    def propagate(self, spec, states, t_from, t_to):
+        return states * np.where(np.asarray(t_to) > 1.0, math.nan, 1.0)[:, None]
 
     def uncovered_rate(self, coarse):
         return None
-
-
-propagate_slice.register(
-    _NanAfterOne,
-    lambda model, spec, states, t0, t1: states * np.where(np.asarray(t1) > 1.0, math.nan, 1.0)[:, None],
-)
 
 
 class _CoarseGrid:
@@ -482,28 +484,24 @@ class _CoarseGrid:
     def check_spec(self, spec, layout):
         return self.fine.check_spec(spec, layout)
 
+    def propagate(self, spec, states, t_from, t_to):
+        # fine unknown j sits at x = (j + 1)/32, so the odd j form the coarse grid
+        inner = self.coarse.propagate(spec, states[:, 1::2], t_from, t_to)
+        walls = np.zeros((len(inner), 1))
+        padded = np.concatenate((walls, inner, walls), axis=1)
+        out = np.empty(states.shape)
+        out[:, 1::2] = inner
+        out[:, 0::2] = 0.5 * (padded[:, :-1] + padded[:, 1:])
+        return out
+
     def uncovered_rate(self, coarse):
         return None
 
 
-def _coarse_grid_propagate(model, spec, states, t_from, t_to):
-    # fine unknown j sits at x = (j + 1)/32, so the odd j form the coarse grid
-    inner = propagate_slice(model.coarse, spec, states[:, 1::2], t_from, t_to)
-    walls = np.zeros((len(inner), 1))
-    padded = np.concatenate((walls, inner, walls), axis=1)
-    out = np.empty(states.shape)
-    out[:, 1::2] = inner
-    out[:, 0::2] = 0.5 * (padded[:, :-1] + padded[:, 1:])
-    return out
-
-
-propagate_slice.register(_CoarseGrid, _coarse_grid_propagate)
-
-
 def test_coarse_model_in_a_smaller_space_plugs_in():
     """A coarse model whose class and space differ from the fine model's
-    restricts and prolongs inside its own registered propagator; run() only
-    asks it check_spec and uncovered_rate."""
+    restricts and prolongs inside its own propagate; run() asks it nothing
+    else but check_spec and uncovered_rate."""
     fine = _CoarseGrid.fine
     config = PararealConfig(make_uniform_partition(3.0, 6), fine.zero_state(),
                             PropagatorSpec(fine, "fine", steps_per_slice=48),

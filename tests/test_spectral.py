@@ -210,7 +210,7 @@ def test_parseval_norm_frozen_values():
 
 
 def test_mode_decay_rate_is_exactly_m_squared_at_length_pi(monkeypatch):
-    """spectral_propagate_stack and the trace bound share SpectralModel.decay_rate;
+    """SpectralModel.propagate and the trace bound share SpectralModel.decay_rate;
     at length pi it is the integer m**2, also for modes such as 11 where
     (m*pi)/pi would round away from it."""
     rates = {}

@@ -14,9 +14,7 @@ from .core import (
     StateVector,
     TimePartition,
     discrete_l2_norm,
-    make_uniform_partition,
     propagate_slice,
-    sup_error,
 )
 from .parareal import PararealConfig, run
 
@@ -37,12 +35,10 @@ __all__ = [
     "factors",
     "heat",
     "hyperbolic",
-    "make_uniform_partition",
     "parareal",
     "presets",
     "propagate_slice",
     "run",
     "spectral",
-    "sup_error",
     "__version__",
 ]

@@ -17,7 +17,7 @@ import os
 import sys
 from typing import Optional
 
-from .core import ConfigError, IterationTrace, NumericalError
+from .core import MAX_RUN_VALUES, ConfigError, IterationTrace, NumericalError
 from .factors import DEFAULT_MODES, DEFAULT_SLICES, factor_grid
 from .parareal import reference_fine_sequential
 from .parareal import run as run_parareal
@@ -125,12 +125,14 @@ def _parse_factor_config(path: Optional[str]):
         raise ConfigError("factors.dts: need a nonempty list of positive slice lengths")
     if length <= 0.0:
         raise ConfigError(f"factors.length: must be positive, got {length}")
+    if (m_max - m_min + 1) * len(dts) > MAX_RUN_VALUES:
+        raise ConfigError(f"factors.m_max: {m_max - m_min + 1} modes x {len(dts)} slice lengths exceed "
+                          f"the limit of {MAX_RUN_VALUES} rows a table may hold")
     return tuple(range(m_min, m_max + 1)), dts, length
 
 
 def cmd_factors(args) -> int:
     modes, dts, length = _parse_factor_config(args.config)
-    grid = factor_grid(modes, dts, length)
     pairs = {
         "factors.m_min": str(modes[0]),
         "factors.m_max": str(modes[-1]),
@@ -141,7 +143,7 @@ def cmd_factors(args) -> int:
     lines = [FACTORS_HEADER]
     lines.extend(_header_lines(pairs))
     lines.append("m,dT,rho_nocoarse,rho_coarse")
-    for m, dt, nc, wc in grid.iter_rows():
+    for m, dt, nc, wc in factor_grid(modes, dts, length):
         lines.append(f"{m},{_fmt(dt)},{_fmt(nc)},{_fmt(wc)}")
     _write("\n".join(lines) + "\n", args.out)
     return 0

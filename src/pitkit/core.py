@@ -105,9 +105,6 @@ class StateVector:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    def with_values(self, values: np.ndarray) -> "StateVector":
-        return StateVector(self.layout, values)
-
 
 # --------------------------------------------------------------------------
 # time partition
@@ -151,10 +148,6 @@ class TimePartition:
 
     def slice_bounds(self, n: int) -> tuple[float, float]:
         return self.boundary(n), self.boundary(n + 1)
-
-
-def make_uniform_partition(t_end: float, n_slices: int, t_start: float = 0.0) -> TimePartition:
-    return TimePartition(t_start, t_end, n_slices)
 
 
 # --------------------------------------------------------------------------
@@ -241,20 +234,3 @@ class IterationTrace:
             raise ValueError(f"need one bound and one wall time per row of {errors.shape} errors")
         errors.flags.writeable = False
         object.__setattr__(self, "errors", errors)
-
-    def iterations(self) -> list[int]:
-        return list(range(len(self.errors)))
-
-    def errors_at(self, k: int) -> np.ndarray:
-        if not 0 <= k < len(self.errors):
-            raise KeyError(f"iteration {k} not recorded")
-        return self.errors[k]
-
-    def bound_at(self, k: int) -> float | None:
-        self.errors_at(k)  # KeyError for an unrecorded k
-        return self.bounds[k]
-
-
-def sup_error(trace: IterationTrace, k: int) -> float:
-    """Largest slice error at iteration k.  Raises KeyError for unknown k."""
-    return float(np.max(trace.errors_at(k)))

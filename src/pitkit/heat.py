@@ -23,9 +23,13 @@ from .core import (
     StateVector,
 )
 
-# default source used by the experiment presets: a Gaussian bump in space,
+# the pulsed source of the experiment presets: a Gaussian bump in space,
 # switched on and off by a train of Gaussian pulses in time
+PULSE_AMPLITUDE = 10.0
+PULSE_CENTER = 0.5
+SPACE_DECAY = 100.0
 PULSE_TIMES = (0.1, 0.6, 1.35, 1.85)
+TIME_DECAY = 100.0
 
 
 @dataclass(frozen=True)
@@ -37,11 +41,6 @@ class SourceTerm:
     """
 
     kind: str = "zero"
-    amplitude: float = 10.0
-    x_center: float = 0.5
-    space_decay: float = 100.0
-    pulse_times: tuple[float, ...] = PULSE_TIMES
-    time_decay: float = 100.0
 
     def __post_init__(self):
         if self.kind not in ("zero", "pulsed_gaussian"):
@@ -52,28 +51,28 @@ class SourceTerm:
         return cls(kind="zero")
 
     @classmethod
-    def pulsed(cls, **overrides) -> "SourceTerm":
-        return cls(kind="pulsed_gaussian", **overrides)
+    def pulsed(cls) -> "SourceTerm":
+        return cls(kind="pulsed_gaussian")
 
     def space_profile(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.kind == "zero":
             return np.zeros_like(x)
-        return self.amplitude * np.exp(-self.space_decay * (x - self.x_center) ** 2)
+        return PULSE_AMPLITUDE * np.exp(-SPACE_DECAY * (x - PULSE_CENTER) ** 2)
 
     def time_profile(self, t: float) -> float:
         if self.kind == "zero":
             return 0.0
-        return float(sum(math.exp(-self.time_decay * (t - tj) ** 2) for tj in self.pulse_times))
+        try:
+            return float(sum(math.exp(-TIME_DECAY * (t - tj) ** 2) for tj in PULSE_TIMES))
+        except OverflowError:
+            # (t - tj) ** 2 overflows only for |t| above 1e154, where t - tj
+            # rounds to t for every pulse time, so every pulse adds 0.0
+            return 0.0
 
     @property
     def is_zero(self) -> bool:
         return self.kind == "zero"
-
-
-def sample_source(source: SourceTerm, x: np.ndarray, t: float) -> np.ndarray:
-    """Point values f(x, t) on the given coordinates."""
-    return source.space_profile(x) * source.time_profile(t)
 
 
 class GridModel:
@@ -368,7 +367,7 @@ def grid_step(model, state: StateVector, t: float, dt: float) -> StateVector:
     stepper, so it is the reference the cached ``GridModel.propagate``
     march is checked against."""
     model.check_spec(None, state.layout)
-    return state.with_values(model.stepper(dt)(state.values[None], [t])[0])
+    return StateVector(state.layout, model.stepper(dt)(state.values[None], [t])[0])
 
 
 @functools.lru_cache(maxsize=64)

@@ -2,7 +2,6 @@
 
 Slice boundary values are corrected by
 
-    U_{n+1}^{k+1} = F(U_n^{k+1 or k}) ... specifically
     U_{n+1}^{k+1} = F(U_n^k) + G(U_n^{k+1}) - G(U_n^k)
 
 where F is the fine propagator over one slice and G a cheap coarse one.
@@ -164,9 +163,8 @@ def _same(a: np.ndarray, b: np.ndarray) -> bool:
     return a.tobytes() == b.tobytes()
 
 
-def parareal_iterate(old: np.ndarray, config: PararealConfig,
+def parareal_iterate(old: np.ndarray, config: PararealConfig, reference: np.ndarray,
                      g_old: Optional[np.ndarray] = None,
-                     reference: Optional[np.ndarray] = None,
                      ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """One sweep from boundary values U^k to U^{k+1}, each an (N+1, size)
     array: the fine solves from the old values, each depending only on its
@@ -176,17 +174,17 @@ def parareal_iterate(old: np.ndarray, config: PararealConfig,
 
     Returns a fresh read-only U^{k+1} and the coarse values G(U^{k+1}_n) of
     slices 0..N-1, which the next sweep takes as ``g_old``; the coarse
-    values are None without a coarse propagator.  ``g_old`` holds G(U^k_n);
-    when it is None the sweep computes it.  Where U^{k+1}_n is bitwise
-    U^k_n, G(U^{k+1}_n) is ``g_old[n]``.  ``reference`` holds the sequential
-    fine values; where U^k_n is bitwise the reference's, F(U^k_n) is its
-    next value.  The propagators are deterministic, so every carried value
+    values are None without a coarse propagator.  ``reference`` holds the
+    sequential fine values; where U^k_n is bitwise the reference's, F(U^k_n)
+    is its next value.  ``g_old`` holds G(U^k_n); when it is None the sweep
+    computes it.  Where U^{k+1}_n is bitwise U^k_n, G(U^{k+1}_n) is
+    ``g_old[n]``.  The propagators are deterministic, so every carried value
     is bitwise the one a recompute would give.
     """
     n_slices = config.partition.n_slices
-    unlocked = [n for n in range(n_slices) if reference is None or not _same(old[n], reference[n])]
+    unlocked = [n for n in range(n_slices) if not _same(old[n], reference[n])]
     # a locked input's fine value is the reference's next value
-    new = _boundaries(config) if reference is None else np.array(reference)
+    new = np.array(reference)
     new[[n + 1 for n in unlocked]] = _propagate(config, config.fine, old, unlocked)
 
     coarse = config.coarse
@@ -224,7 +222,8 @@ def run(config: PararealConfig, *,
 
     def record(k: int, values: np.ndarray, start: float) -> None:
         wall_time_ms.append((time.perf_counter() - start) * 1e3)
-        row = np.array([0.0 if finite[n] and _same(v, r) else discrete_l2_norm(config.u0.with_values(v - r))
+        row = np.array([0.0 if finite[n] and _same(v, r)
+                        else discrete_l2_norm(StateVector(config.u0.layout, v - r))
                         for n, (v, r) in enumerate(zip(values, reference))])
         if not np.isfinite(row.max()):
             raise NumericalError(f"iteration {k} produced a non-finite error {row.max()}")
@@ -240,7 +239,7 @@ def run(config: PararealConfig, *,
         if config.tolerance > 0.0 and errors[-1].max() <= config.tolerance:
             break
         start = time.perf_counter()
-        values, g_values = parareal_iterate(values, config, g_values, reference)
+        values, g_values = parareal_iterate(values, config, reference, g_values)
         record(k, values, start)
         if on_iteration is not None:
             on_iteration(k, values)

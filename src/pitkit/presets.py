@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ConfigError, PropagatorSpec, StateVector, make_uniform_partition
+from .core import ConfigError, PropagatorSpec, StateVector, TimePartition
 from .heat import HeatModel, SourceTerm
 from .hyperbolic import AdvectionModel, WaveModel
 from .parareal import GUESS_KINDS, PararealConfig, check_boundary_size
@@ -285,7 +285,7 @@ def build_model_and_u0(config: ExperimentConfig):
 def build_parareal(config: ExperimentConfig) -> PararealConfig:
     model, u0 = build_model_and_u0(config)
     with _config_keys("partition.t_end", "partition.t_start", "partition.n_slices"):
-        partition = make_uniform_partition(config.t_end, config.n_slices, config.t_start)
+        partition = TimePartition(config.t_start, config.t_end, config.n_slices)
     if config.model_kind == "spectral":
         # the fine propagator advances every value of u0: fine.mode_count
         # sizes the state, which holds one more value in the cosine basis

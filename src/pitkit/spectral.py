@@ -29,7 +29,7 @@ from .core import (
     PropagatorSpec,
     StateVector,
 )
-from .heat import PULSE_TIMES
+from .heat import PULSE_TIMES, TIME_DECAY
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(16)
 
@@ -45,8 +45,6 @@ class ModeSource:
 
     kind: str = "zero"
     coefficients: tuple[tuple[int, float], ...] = ()
-    pulse_times: tuple[float, ...] = PULSE_TIMES
-    time_decay: float = 100.0
 
     def __post_init__(self):
         if self.kind not in ("zero", "constant", "pulsed"):
@@ -61,8 +59,8 @@ class ModeSource:
         return cls(kind="constant", coefficients=_as_pairs(coefficients))
 
     @classmethod
-    def pulsed(cls, coefficients, **overrides) -> "ModeSource":
-        return cls(kind="pulsed", coefficients=_as_pairs(coefficients), **overrides)
+    def pulsed(cls, coefficients) -> "ModeSource":
+        return cls(kind="pulsed", coefficients=_as_pairs(coefficients))
 
     def coefficient(self, m: int) -> float:
         for mode, value in self.coefficients:
@@ -76,8 +74,8 @@ class ModeSource:
             return np.ones_like(t)
         out = np.zeros_like(t)
         if self.kind == "pulsed":
-            for tj in self.pulse_times:
-                out += np.exp(-self.time_decay * (t - tj) ** 2)
+            for tj in PULSE_TIMES:
+                out += np.exp(-TIME_DECAY * (t - tj) ** 2)
         return out
 
     def mode_function(self, m: int) -> Optional[Callable[[np.ndarray], np.ndarray]]:

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from pitkit.core import PropagatorSpec, discrete_l2_norm, make_uniform_partition
+from pitkit.core import PropagatorSpec, TimePartition, discrete_l2_norm
 from pitkit.factors import factor_grid, rho_no_coarse, rho_with_coarse
 from pitkit.heat import (
     HeatModel,
@@ -23,7 +23,6 @@ from pitkit.heat import (
     TridiagonalSystem,
     fd_decay_rate,
     implicit_system,
-    sample_source,
     thomas_solve,
 )
 from pitkit.parareal import PararealConfig, reference_fine_sequential, run
@@ -54,7 +53,7 @@ def _spectral_run(m_g: int, guess: str, m_fine: int = 64, n_slices: int = 6,
     model = SpectralModel()
     amplitudes = MODE_DATA[m_g] if data is None else data
     config = PararealConfig(
-        partition=make_uniform_partition(t_end, n_slices),
+        partition=TimePartition(0.0, t_end, n_slices),
         u0=model.state_from_modes(amplitudes, m_fine),
         fine=PropagatorSpec(model, "fine", mode_count=m_fine),
         coarse=PropagatorSpec(model, "coarse", mode_count=m_g) if m_g else None,
@@ -66,7 +65,7 @@ def _spectral_run(m_g: int, guess: str, m_fine: int = 64, n_slices: int = 6,
 
 
 def _sups(trace):
-    return {k: max(trace.errors_at(k)) for k in trace.iterations()}
+    return {k: max(row) for k, row in enumerate(trace.errors)}
 
 
 def _preset_trace(name: str, coarse: bool = True, iterations=None):
@@ -159,8 +158,8 @@ def test_criterion_3_no_contraction_without_coarse(n):
     trace = _preset_trace(f"heat-neumann-N{n}", coarse=False)
     # boundaries 9..N after 8 sweeps carry the errors of boundaries 2..N-7
     # after one sweep, so compare against that window, not all of 2..N
-    window = trace.errors_at(1)[: n - 7 + 1]
-    assert max(trace.errors_at(8)) >= 0.9 * max(window)
+    window = trace.errors[1, : n - 7 + 1]
+    assert max(trace.errors[8]) >= 0.9 * max(window)
 
 
 @pytest.mark.criterion(3, "Neumann heat: stalls without coarse, converges with it")
@@ -213,7 +212,7 @@ def test_with_coarse_factor_honest_value():
 
 @pytest.mark.criterion(5, "contraction factor reference values and orderings")
 def test_criterion_5_grid_has_both_orderings():
-    rows = list(factor_grid().iter_rows())
+    rows = factor_grid()
     assert any(nc < wc for _, _, nc, wc in rows)
     assert any(wc < nc for _, _, nc, wc in rows)
 
@@ -338,7 +337,7 @@ def test_criterion_10_quadrature_vs_constant_source():
 @pytest.mark.criterion(10, "solver kernels agree with independent oracles")
 def test_criterion_10_slice_sweep_vs_monolithic_stepping():
     model = HeatModel(n_cells=128, bc="dirichlet", source=SourceTerm.pulsed())
-    partition = make_uniform_partition(3.0, 6)
+    partition = TimePartition(0.0, 3.0, 6)
     config = PararealConfig(
         partition=partition,
         u0=model.zero_state(),
@@ -353,7 +352,8 @@ def test_criterion_10_slice_sweep_vs_monolithic_stepping():
     u = np.zeros(model.n_unknowns)
     for i in range(288):
         t_next = (i + 1) * dt
-        u = np.linalg.solve(dense, u + dt * sample_source(model.source, model.grid_x, t_next))
+        f = model.source.space_profile(model.grid_x) * model.source.time_profile(t_next)
+        u = np.linalg.solve(dense, u + dt * f)
         if (i + 1) % 48 == 0:
             n = (i + 1) // 48
             assert np.max(np.abs(boundary_values[n] - u)) < 1e-13

@@ -8,7 +8,7 @@ import pytest
 
 from pitkit import cli
 from pitkit.cli import FACTORS_HEADER, FIELD_HEADER, TRACE_HEADER, main
-from pitkit.core import NumericalError
+from pitkit.core import MAX_RUN_VALUES, NumericalError
 from pitkit.presets import (
     experiment_preset,
     experiment_preset_names,
@@ -276,6 +276,17 @@ def test_bc_alias_for_inflow_wall(tmp_path):
     assert _header(out)["model.bc"] == "inflow"
 
 
+def test_pulse_whose_square_distance_overflows_adds_nothing(tmp_path):
+    """At t = 1e200, (t - tj) ** 2 overflows for every pulse time tj; each
+    pulse then adds 0.0 to the source instead of failing the run."""
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[partition]\nt_end = 1e200\n")
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert _header(out)["partition.t_end"] == "1e+200"
+    assert all(math.isfinite(float(row[2])) for row in _rows(out))
+
+
 # name -> (config document, a fragment the error message must contain);
 # each is rejected before any sweep runs
 _BAD_RUN_CONFIGS = {
@@ -438,6 +449,20 @@ def test_factors_rejects_unknown_key(tmp_path, capsys):
     assert "factors.modes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "m_max = 1000000000000000000000000000000",
+    f"m_min = 1\nm_max = {MAX_RUN_VALUES + 1}\ndts = 0.5",
+], ids=["m_max-1e30", "one-row-past-the-limit"])
+def test_factors_table_past_the_size_limit_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "factors.ini"
+    cfg.write_text(f"[factors]\n{text}\n")
+    out = tmp_path / "factors.csv"
+    assert main(["factors", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: factors.m_max: ") and f"limit of {MAX_RUN_VALUES} rows" in err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ solution field
 
 
@@ -474,7 +499,6 @@ def test_field_periodic_advection_conserves_injected_mass(tmp_path):
     field = _field(out)
     final_sum = sum(field[3.0])
 
-    from pitkit.heat import sample_source
     from pitkit.presets import build_model_and_u0, field_preset
 
     model, _ = build_model_and_u0(field_preset("advection-periodic"))
@@ -482,5 +506,6 @@ def test_field_periodic_advection_conserves_injected_mass(tmp_path):
     dt = 3.0 / n_steps
     injected = 0.0
     for i in range(n_steps):
-        injected += dt * float(sample_source(model.source, model.grid_x, i * dt).sum())
+        f = model.source.space_profile(model.grid_x) * model.source.time_profile(i * dt)
+        injected += dt * float(f.sum())
     assert final_sum == pytest.approx(injected, rel=1e-10)

@@ -9,10 +9,9 @@ from pitkit.core import (
     ModeLayout,
     PropagatorSpec,
     StateVector,
+    TimePartition,
     discrete_l2_norm,
-    make_uniform_partition,
     propagate_slice,
-    sup_error,
 )
 
 
@@ -44,7 +43,7 @@ def test_mode_layout_sizes():
 
 
 def test_partition_boundaries_hit_endpoints_exactly():
-    p = make_uniform_partition(3.0, 48)
+    p = TimePartition(0.0, 3.0, 48)
     assert p.boundary(0) == 0.0
     assert p.boundary(48) == 3.0
     assert p.delta_t == pytest.approx(1.0 / 16.0)
@@ -58,9 +57,9 @@ def test_partition_boundaries_hit_endpoints_exactly():
 
 def test_partition_validation():
     with pytest.raises(ValueError):
-        make_uniform_partition(0.0, 4)
+        TimePartition(0.0, 0.0, 4)
     with pytest.raises(ValueError):
-        make_uniform_partition(1.0, 0)
+        TimePartition(0.0, 1.0, 0)
 
 
 def test_discrete_l2_norm_grid():
@@ -102,11 +101,9 @@ def _trace():
 
 def test_trace_lookup():
     trace = _trace()
-    assert list(trace.iterations()) == [0, 1]
-    assert tuple(trace.errors_at(1)) == (0.0, 0.5)
-    assert trace.bound_at(1) == 3.0
-    assert trace.bound_at(0) is None
-    assert sup_error(trace, 0) == 2.0
-    assert sup_error(trace, 1) == 0.5
-    with pytest.raises(KeyError):
-        trace.errors_at(7)
+    assert len(trace.errors) == 2
+    assert tuple(trace.errors[1]) == (0.0, 0.5)
+    assert trace.bounds[1] == 3.0
+    assert trace.bounds[0] is None
+    assert trace.errors[0].max() == 2.0
+    assert trace.errors[1].max() == 0.5

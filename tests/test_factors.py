@@ -89,11 +89,11 @@ def test_error_bound_values():
 
 
 def test_default_grid_shape_and_consistency():
-    grid = factor_grid()
-    assert grid.modes == DEFAULT_MODES == tuple(range(1, 17))
-    assert grid.dts == DEFAULT_SLICES
-    assert grid.dts[0] == 2.0**-6 and grid.dts[-1] == 2.0
-    rows = list(grid.iter_rows())
+    rows = factor_grid()
+    assert DEFAULT_MODES == tuple(range(1, 17))
+    assert DEFAULT_SLICES[0] == 2.0**-6 and DEFAULT_SLICES[-1] == 2.0
+    # mode-major: every slice length of mode m before mode m + 1
+    assert [(m, dt) for m, dt, _, _ in rows] == [(m, dt) for m in DEFAULT_MODES for dt in DEFAULT_SLICES]
     assert len(rows) == 16 * 8
     for m, dt, nc, wc in rows:
         assert nc == rho_no_coarse(float(m * m), dt)
@@ -105,14 +105,13 @@ def test_default_grid_shape_and_consistency():
 def test_default_grid_contains_both_orderings():
     """Slow modes on short slices contract faster without the coarse term,
     fast modes on long slices faster with it."""
-    rows = list(factor_grid().iter_rows())
+    rows = factor_grid()
     assert any(nc < wc for _, _, nc, wc in rows)
     assert any(wc < nc for _, _, nc, wc in rows)
 
 
 def test_grid_respects_domain_length():
-    grid = factor_grid(modes=(1,), dts=(0.5,), length=2.0 * math.pi)
-    _, _, nc, _ = next(iter(grid.iter_rows()))
+    [(_, _, nc, _)] = factor_grid(modes=(1,), dts=(0.5,), length=2.0 * math.pi)
     assert nc == pytest.approx(math.exp(-0.25 * 0.5), rel=1e-15)
 
 

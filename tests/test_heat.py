@@ -13,7 +13,6 @@ from pitkit.heat import (
     fd_decay_rate,
     grid_step,
     implicit_system,
-    sample_source,
     thomas_solve,
 )
 from pitkit.hyperbolic import AdvectionModel, WaveModel
@@ -99,7 +98,7 @@ def test_neumann_conserves_trapezoidal_mean_with_source():
     for _ in range(30):
         state = grid_step(model, state, t, dt)
         t += dt
-        f = sample_source(model.source, model.grid_x, t)
+        f = model.source.space_profile(model.grid_x) * model.source.time_profile(t)
         w = np.full(model.n_unknowns, 1.0 / model.n_cells)
         w[0] *= 0.5
         w[-1] *= 0.5
@@ -177,15 +176,16 @@ def test_implicit_system_matches_matrix_definition():
 
 def test_pulsed_source_peaks_at_pulse_times():
     source = SourceTerm.pulsed()
-    assert sample_source(source, np.array([0.5]), 0.1)[0] == pytest.approx(10.0, abs=1e-9)
+    peak = source.space_profile(np.array([0.5]))[0]
+    assert peak * source.time_profile(0.1) == pytest.approx(10.0, abs=1e-9)
     # off-pulse times are quiet; by t=3 every pulse is long gone
-    assert abs(sample_source(source, np.array([0.5]), 3.0)[0]) < 1e-55
+    assert abs(peak * source.time_profile(3.0)) < 1e-55
 
 
 def test_source_space_profile_decays_from_center():
     source = SourceTerm.pulsed()
     x = np.array([0.5, 0.6])
-    vals = sample_source(source, x, 0.6)
+    vals = source.space_profile(x) * source.time_profile(0.6)
     assert vals[1] == pytest.approx(vals[0] * math.exp(-1.0), rel=1e-12)
 
 

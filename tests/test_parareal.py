@@ -15,11 +15,11 @@ from pitkit.core import (
     NumericalError,
     PropagatorSpec,
     StateVector,
-    make_uniform_partition,
+    TimePartition,
 )
 import pitkit
 from pitkit import heat, parareal
-from pitkit.heat import HeatModel, SourceTerm, implicit_system, sample_source
+from pitkit.heat import HeatModel, SourceTerm, implicit_system
 from pitkit.parareal import (
     PararealConfig,
     initialize_guess,
@@ -43,7 +43,7 @@ from independent_sweeps import _clear_solver_caches, _propagate_one, assert_swee
 def _heat_config(n_slices=6, guess="replicate_u0", coarse=True, **overrides):
     model = HeatModel(n_cells=32, bc="dirichlet", source=SourceTerm.pulsed())
     kwargs = dict(
-        partition=make_uniform_partition(3.0, n_slices),
+        partition=TimePartition(0.0, 3.0, n_slices),
         u0=model.zero_state(),
         fine=PropagatorSpec(model, "fine", steps_per_slice=288 // n_slices),
         coarse=PropagatorSpec(model, "coarse", steps_per_slice=1) if coarse else None,
@@ -59,7 +59,7 @@ def _spectral_config(m_fine=8, m_coarse=0, guess="zero", coefficients=None, **ov
     model = SpectralModel()
     amplitudes = coefficients or {m: 1.0 / m for m in range(1, m_fine + 1)}
     kwargs = dict(
-        partition=make_uniform_partition(3.0, 6),
+        partition=TimePartition(0.0, 3.0, 6),
         u0=model.state_from_modes(amplitudes, m_fine),
         fine=PropagatorSpec(model, "fine", mode_count=m_fine),
         coarse=PropagatorSpec(model, "coarse", mode_count=m_coarse) if m_coarse else None,
@@ -80,7 +80,7 @@ def test_slice_n_is_exact_after_n_iterations(guess):
     reference = reference_fine_sequential(config)
     state, g_values = initialize_guess(config), None
     for k in range(1, config.partition.n_slices + 1):
-        state, g_values = parareal_iterate(state, config, g_old=g_values)
+        state, g_values = parareal_iterate(state, config, reference, g_values)
         for n in range(k + 1):
             assert np.array_equal(state[n], reference[n]), (
                 f"slice {n} not exact at iteration {k}"
@@ -92,7 +92,7 @@ def test_finite_termination_without_coarse():
     reference = reference_fine_sequential(config)
     state = initialize_guess(config)
     for _ in range(config.partition.n_slices):
-        state, _ = parareal_iterate(state, config)
+        state, _ = parareal_iterate(state, config, reference)
     for n, (got, want) in enumerate(zip(state, reference)):
         assert np.array_equal(got, want), f"slice {n} differs"
 
@@ -100,7 +100,7 @@ def test_finite_termination_without_coarse():
 def test_single_slice_converges_in_one_iteration():
     config = _heat_config(n_slices=1, coarse=False, max_iterations=1)
     reference = reference_fine_sequential(config)
-    state, _ = parareal_iterate(initialize_guess(config), config)
+    state, _ = parareal_iterate(initialize_guess(config), config, reference)
     assert np.array_equal(state[1], reference[1])
 
 
@@ -119,7 +119,7 @@ def test_zero_guess_error_contracts_at_slowest_uncovered_rate():
         errors[k] = values
 
     trace = run(config, on_iteration=capture)
-    sups = {k: max(trace.errors_at(k)) for k in trace.iterations()}
+    sups = {k: max(row) for k, row in enumerate(trace.errors)}
     a = math.exp(-config.fine.model.decay_rate(1) * config.partition.delta_t)
     for k in range(1, 6):
         assert sups[k] == pytest.approx(a**k * sups[0], rel=1e-12, abs=0.0)
@@ -130,7 +130,7 @@ def test_covered_modes_exact_from_first_iteration(m_coarse):
     config = _spectral_config(m_coarse=m_coarse, guess="zero",
                               coefficients={1: 1.0, 2: 0.9, 3: 0.8, 4: 0.7, 8: 0.4})
     reference = reference_fine_sequential(config)
-    state, _ = parareal_iterate(initialize_guess(config), config)
+    state, _ = parareal_iterate(initialize_guess(config), config, reference)
     for n in range(1, config.partition.n_slices + 1):
         diff = state[n] - reference[n]
         assert np.array_equal(diff[:m_coarse], np.zeros(m_coarse)), (
@@ -147,10 +147,10 @@ def test_bound_attained_when_uncovered_modes_carry_the_error():
                               coefficients={2: 1.0, 8: 0.7}, max_iterations=5)
     trace = run(config)
     rate = config.fine.model.uncovered_rate(config.coarse)
-    sup0 = max(trace.errors_at(0))
-    for k in trace.iterations():
+    sup0 = max(trace.errors[0])
+    for k, row in enumerate(trace.errors):
         want = math.exp(-rate * k * config.partition.delta_t) * sup0
-        assert max(trace.errors_at(k)) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert max(row) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_error_bound_holds_for_random_guess():
@@ -158,9 +158,9 @@ def test_error_bound_holds_for_random_guess():
     trace = run(config)
     model = config.fine.model
     rate = model.uncovered_rate(config.coarse)
-    sup0 = max(trace.errors_at(0))
-    for k in trace.iterations():
-        sup = max(trace.errors_at(k))
+    sup0 = max(trace.errors[0])
+    for k, row in enumerate(trace.errors):
+        sup = max(row)
         bound = math.exp(-rate * k * config.partition.delta_t) * sup0
         assert sup <= bound + 1e-12, f"bound violated at k={k}"
 
@@ -170,11 +170,11 @@ def test_trace_bound_column_matches_analytic_formula():
                               coefficients={1: 1.0, 2: 0.9, 3: 0.8, 4: 0.7, 8: 0.4})
     trace = run(config)
     rate = config.fine.model.uncovered_rate(config.coarse)
-    sup0 = max(trace.errors_at(0))
-    for k in trace.iterations():
+    sup0 = max(trace.errors[0])
+    for k, (row, bound) in enumerate(zip(trace.errors, trace.bounds, strict=True)):
         want = math.exp(-rate * k * config.partition.delta_t) * sup0
-        assert trace.bound_at(k) == pytest.approx(want, rel=1e-14, abs=0.0)
-        assert max(trace.errors_at(k)) <= trace.bound_at(k) + 1e-12
+        assert bound == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert max(row) <= bound + 1e-12
 
 
 def test_spectral_reference_is_pure_decay_without_source():
@@ -206,7 +206,7 @@ def test_cosine_fine_propagator_advances_the_top_mode(tmp_path):
 def test_heat_iteration_matches_dense_linear_algebra():
     """Replay one full parareal iteration with dense solves and compare."""
     model = HeatModel(n_cells=16, bc="dirichlet", source=SourceTerm.pulsed())
-    partition = make_uniform_partition(1.0, 4)
+    partition = TimePartition(0.0, 1.0, 4)
     config = PararealConfig(
         partition=partition,
         u0=model.zero_state(),
@@ -223,14 +223,15 @@ def test_heat_iteration_matches_dense_linear_algebra():
         out = np.array(u, dtype=float)
         for i in range(steps):
             t_next = t0 + (i + 1) * (t1 - t0) / steps
-            rhs = out + dt * sample_source(model.source, model.grid_x, t_next)
+            f = model.source.space_profile(model.grid_x) * model.source.time_profile(t_next)
+            rhs = out + dt * f
             out = np.linalg.solve(a, rhs)
         return out
 
-    state = initialize_guess(config)
+    state, reference = initialize_guess(config), reference_fine_sequential(config)
     for _ in range(2):
         old = state
-        state, _ = parareal_iterate(state, config)
+        state, _ = parareal_iterate(state, config, reference)
         new = [config.u0.values]
         for n in range(4):
             t0, t1 = partition.slice_bounds(n)
@@ -295,7 +296,7 @@ def test_clearing_solver_caches_leaves_every_cache_cold():
     configs.append(load_config(str(pathlib.Path(__file__).with_name("spectral_pulsed.ini"))))
     for experiment in configs:
         config = build_parareal(experiment)
-        parareal_iterate(initialize_guess(config), config)
+        parareal_iterate(initialize_guess(config), config, reference_fine_sequential(config))
     caches = _pitkit_lru_caches()
     assert caches and any(cache.cache_info().currsize for cache in caches.values())
     _clear_solver_caches()
@@ -316,8 +317,7 @@ def test_repeated_runs_are_identical():
     config = build_parareal(experiment_preset("heat-dirichlet-N24"))
     t1 = run(config)
     t2 = run(config)
-    for k in t1.iterations():
-        assert list(t1.errors_at(k)) == list(t2.errors_at(k))
+    assert t1.errors.tolist() == t2.errors.tolist()
 
 
 # ---------------------------------------------------------- initial guesses
@@ -425,7 +425,7 @@ def test_wrong_role_rejected():
     model = HeatModel(n_cells=16)
     with pytest.raises(ConfigError):
         PararealConfig(
-            partition=make_uniform_partition(1.0, 2),
+            partition=TimePartition(0.0, 1.0, 2),
             u0=model.zero_state(),
             fine=PropagatorSpec(model, "coarse", steps_per_slice=2),
         )
@@ -457,7 +457,7 @@ def test_u0_that_does_not_fit_the_model_is_rejected():
          PropagatorSpec(HeatModel(n_cells=16), "coarse", steps_per_slice=1)),
     ):
         with pytest.raises(ValueError, match="does not fit"):
-            run(PararealConfig(make_uniform_partition(1.0, 2), u0, fine, coarse))
+            run(PararealConfig(TimePartition(0.0, 1.0, 2), u0, fine, coarse))
 
 
 class _NanAfterOne:
@@ -503,7 +503,7 @@ def test_coarse_model_in_a_smaller_space_plugs_in():
     restricts and prolongs inside its own propagate; run() asks it nothing
     else but check_spec and uncovered_rate."""
     fine = _CoarseGrid.fine
-    config = PararealConfig(make_uniform_partition(3.0, 6), fine.zero_state(),
+    config = PararealConfig(TimePartition(0.0, 3.0, 6), fine.zero_state(),
                             PropagatorSpec(fine, "fine", steps_per_slice=48),
                             PropagatorSpec(_CoarseGrid(), "coarse", steps_per_slice=6),
                             max_iterations=6, tolerance=0.0)
@@ -518,14 +518,14 @@ def test_coarse_model_in_a_smaller_space_plugs_in():
     assert trace.errors[1].max() < 0.1 * trace.errors[0].max()
     neumann = HeatModel(32, "neumann")
     with pytest.raises(ValueError, match="does not fit"):
-        PararealConfig(make_uniform_partition(3.0, 6), neumann.zero_state(),
+        PararealConfig(TimePartition(0.0, 3.0, 6), neumann.zero_state(),
                        PropagatorSpec(neumann, "fine", steps_per_slice=48),
                        PropagatorSpec(_CoarseGrid(), "coarse", steps_per_slice=6))
 
 
 def test_non_finite_error_past_boundary_0_is_a_numerical_failure():
     u0 = StateVector(GridLayout(2, 0.5, "dirichlet"), [1.0, 1.0])
-    config = PararealConfig(make_uniform_partition(2.0, 4), u0,
+    config = PararealConfig(TimePartition(0.0, 2.0, 4), u0,
                             PropagatorSpec(_NanAfterOne(), "fine"), tolerance=0.0)
     with pytest.raises(NumericalError, match="iteration 0"):
         run(config)
@@ -535,16 +535,15 @@ def test_early_stop_respects_tolerance():
     config = _spectral_config(guess="zero", coefficients={1: 1.0},
                               m_coarse=0, tolerance=1e-1, max_iterations=6)
     trace = run(config)
-    ks = list(trace.iterations())
-    assert ks[-1] < 6
-    assert max(trace.errors_at(ks[-1])) <= 1e-1
-    assert max(trace.errors_at(ks[-2])) > 1e-1
+    assert len(trace.errors) < 7  # stopped before sweep 6
+    assert max(trace.errors[-1]) <= 1e-1
+    assert max(trace.errors[-2]) > 1e-1
 
 
 def test_zero_tolerance_disables_early_stop():
     config = _heat_config(guess="coarse_sweep", tolerance=0.0, max_iterations=6)
     trace = run(config)
-    assert list(trace.iterations()) == list(range(7))
+    assert len(trace.errors) == 7
 
 
 # ----------------------------------------------------- qualitative behavior
@@ -553,7 +552,7 @@ def test_zero_tolerance_disables_early_stop():
 def test_heat_with_coarse_contracts_fast():
     config = build_parareal(experiment_preset("heat-dirichlet-N24"))
     trace = run(config)
-    sups = {k: max(trace.errors_at(k)) for k in trace.iterations()}
+    sups = {k: max(row) for k, row in enumerate(trace.errors)}
     for k in range(1, 10):
         assert sups[k + 1] < 0.5 * sups[k]
     assert sups[6] < 1e-3 * sups[1]
@@ -563,7 +562,7 @@ def test_heat_without_coarse_stalls():
     base = experiment_preset("heat-neumann-N24")
     config = build_parareal(dataclasses.replace(base, coarse_role="none", iterations=5))
     trace = run(config)
-    sups = {k: max(trace.errors_at(k)) for k in trace.iterations()}
+    sups = {k: max(row) for k, row in enumerate(trace.errors)}
     assert sups[5] >= 0.5 * sups[1]
 
 
@@ -571,7 +570,7 @@ def test_heat_without_coarse_errors_never_grow():
     base = experiment_preset("heat-dirichlet-N6")
     config = build_parareal(dataclasses.replace(base, coarse_role="none", iterations=6))
     trace = run(config)
-    sups = [max(trace.errors_at(k)) for k in trace.iterations()]
+    sups = [max(row) for row in trace.errors]
     for earlier, later in zip(sups, sups[1:]):
         assert later <= earlier * (1.0 + 1e-12)
     assert sups[-1] == 0.0
@@ -611,7 +610,7 @@ def test_run_propagates_only_unlocked_inputs(monkeypatch, guess, coarse, max_ite
     n = config.partition.n_slices
     unlocked = [max(n - k, 0) for k in range(1, max_iterations + 1)]
     total = n + sum(unlocked)
-    assert len(trace.iterations()) == max_iterations + 1
+    assert len(trace.errors) == max_iterations + 1
     assert calls == {"fine": total, "coarse": total if coarse else 0}
     assert stacks["fine"] == n + min(max_iterations, n - 1)
     for k in range(2, max_iterations + 1):

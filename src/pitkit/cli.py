@@ -15,6 +15,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from typing import Optional
 
 from .core import MAX_RUN_VALUES, ConfigError, IterationTrace, NumericalError
@@ -30,9 +31,8 @@ from .presets import (
     field_preset_names,
     load_config,
     read_ini,
-    with_iterations,
-    without_coarse,
 )
+from .spectral import SpectralModel
 
 TRACE_HEADER = "# pitkit trace v1"
 FACTORS_HEADER = "# pitkit factors v1"
@@ -93,9 +93,9 @@ def _load_experiment(args) -> ExperimentConfig:
     else:
         config = ExperimentConfig()
     if args.no_coarse:
-        config = without_coarse(config)
+        config = replace(config, coarse_role="none")
     if args.iterations is not None:
-        config = with_iterations(config, args.iterations)
+        config = replace(config, iterations=args.iterations)
     return config
 
 
@@ -128,11 +128,22 @@ def _parse_factor_config(path: Optional[str]):
     if (m_max - m_min + 1) * len(dts) > MAX_RUN_VALUES:
         raise ConfigError(f"factors.m_max: {m_max - m_min + 1} modes x {len(dts)} slice lengths exceed "
                           f"the limit of {MAX_RUN_VALUES} rows a table may hold")
+    try:
+        finite = math.isfinite(SpectralModel(length).decay_rate(m_max))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ConfigError(f"factors.length: {length} gives mode {m_max} a decay rate that is not finite")
     return tuple(range(m_min, m_max + 1)), dts, length
 
 
 def cmd_factors(args) -> int:
     modes, dts, length = _parse_factor_config(args.config)
+    try:
+        rows = factor_grid(modes, dts, length)
+    except ConfigError as exc:
+        # the parse leaves one rejection: a slice so short that R(-lam*dT) rounds to 1
+        raise ConfigError(f"factors.dts: {exc}") from None
     pairs = {
         "factors.m_min": str(modes[0]),
         "factors.m_max": str(modes[-1]),
@@ -143,7 +154,7 @@ def cmd_factors(args) -> int:
     lines = [FACTORS_HEADER]
     lines.extend(_header_lines(pairs))
     lines.append("m,dT,rho_nocoarse,rho_coarse")
-    for m, dt, nc, wc in factor_grid(modes, dts, length):
+    for m, dt, nc, wc in rows:
         lines.append(f"{m},{_fmt(dt)},{_fmt(nc)},{_fmt(wc)}")
     _write("\n".join(lines) + "\n", args.out)
     return 0

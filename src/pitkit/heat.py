@@ -88,9 +88,12 @@ class GridModel:
         return StateVector(layout, np.zeros(layout.size))
 
     def check_spec(self, spec: PropagatorSpec | None, layout) -> None:
-        """Raise ValueError unless ``layout`` is the model's own."""
+        """Raise ValueError unless ``layout`` is the model's own, and
+        ConfigError if ``spec`` takes no step."""
         if layout != self.layout():
             raise ValueError(f"state layout {layout} does not fit model {self}")
+        if spec is not None:
+            _check_steps(spec)
 
     def propagate(self, spec: PropagatorSpec, states: np.ndarray, t_from, t_to) -> np.ndarray:
         """Advance each row i of the stack states[m, size] from t_from[i]
@@ -102,8 +105,7 @@ class GridModel:
         one long propagate over their union.
         """
         steps = spec.steps_per_slice
-        if steps < 1:
-            raise ConfigError(f"{spec.role}.steps_per_slice: must be >= 1, got {steps}")
+        _check_steps(spec)
         t_from = np.asarray(t_from, dtype=float).tolist()
         t_to = np.asarray(t_to, dtype=float).tolist()
         size = self.layout().size
@@ -193,6 +195,11 @@ class HeatModel(GridModel):
                 u = u + dt * (profile * pulses[:, None])
             return factor.solve(u)
         return step
+
+
+def _check_steps(spec: PropagatorSpec) -> None:
+    if spec.steps_per_slice < 1:
+        raise ConfigError(f"{spec.role}.steps_per_slice: must be >= 1, got {spec.steps_per_slice}")
 
 
 def conserved_mean(model: HeatModel, state: StateVector) -> float:

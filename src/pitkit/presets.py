@@ -14,7 +14,7 @@ import configparser
 import contextlib
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +27,6 @@ from .spectral import ModeSource, SpectralModel
 MODEL_KINDS = ("heat", "spectral", "advection", "wave")
 SOURCE_KINDS = ("zero", "pulsed", "modes")
 INITIAL_KINDS = ("zero", "gaussian_bump", "modes")
-
-# the advection inflow condition doubles as a homogeneous Dirichlet wall
-_BC_ALIASES = {"dirichlet_inflow_zero": "inflow"}
 
 
 @dataclass(frozen=True)
@@ -178,8 +175,6 @@ def load_config(path: str) -> ExperimentConfig:
     """Parse an INI config document; unknown sections or keys are errors."""
     values = read_ini(path, {key: kind for key, (_, kind) in _SCHEMA.items()})
     overrides = {_SCHEMA[key][0]: value for key, value in values.items()}
-    if "bc" in overrides:
-        overrides["bc"] = _BC_ALIASES.get(overrides["bc"], overrides["bc"])
     try:
         return ExperimentConfig(**overrides)
     except (ValueError, TypeError) as exc:
@@ -190,51 +185,21 @@ def load_config(path: str) -> ExperimentConfig:
 # turning an ExperimentConfig into runnable objects
 
 
-def _build_source(config: ExperimentConfig):
-    if config.model_kind == "spectral":
-        if config.source_kind == "zero":
-            return ModeSource.zero()
-        if config.source_kind == "pulsed":
-            return ModeSource.pulsed(config.source_modes)
-        return ModeSource.constant(config.source_modes)
-    if config.source_kind == "zero":
-        return SourceTerm.zero()
-    if config.model_kind == "wave":
-        raise ConfigError(f"source.kind: the wave model is unforced, got {config.source_kind!r}")
-    if config.source_kind == "pulsed":
-        return SourceTerm.pulsed()
-    raise ConfigError(f"source.kind: {config.source_kind!r} needs a spectral model")
-
-
-def _gaussian_bump(x: np.ndarray) -> np.ndarray:
-    return np.exp(-100.0 * (x - 0.5) ** 2)
-
-
 @contextlib.contextmanager
 def _config_keys(*keys: str):
     """Report a constructor's ValueError or ConfigError as a ConfigError
     that names the config key the rejected value came from: the first of
     ``keys`` whose name the message mentions (also after an underscore, so
     max_iterations names run.iterations), or all of them if it mentions
-    none."""
+    none.  A message that already starts with a config key passes as is."""
     try:
         yield
     except (ValueError, ConfigError) as exc:
+        if str(exc).split(":", 1)[0] in _SCHEMA:
+            raise
         named = [key for key in keys
                  if re.search(rf"(?<![A-Za-z0-9]){key.split('.', 1)[1]}\b", str(exc))]
         raise ConfigError(f"{named[0] if named else ' / '.join(keys)}: {exc}") from exc
-
-
-def _build_model(config: ExperimentConfig):
-    kind, source = config.model_kind, _build_source(config)
-    with _config_keys("model.n_cells", "model.bc", "model.speed", "model.length", "model.basis"):
-        if kind == "spectral":
-            return SpectralModel(config.length, config.basis, source)
-        if kind == "wave":
-            return WaveModel(config.n_cells)
-        if kind == "heat":
-            return HeatModel(config.n_cells, config.bc, source)
-        return AdvectionModel(config.speed, config.n_cells, config.bc, source)
 
 
 def _check_distinct_modes(pairs):
@@ -246,27 +211,25 @@ def _check_distinct_modes(pairs):
             raise ValueError(f"mode {m} given twice")
 
 
-def build_model_and_u0(config: ExperimentConfig):
+def _grid_parts(config: ExperimentConfig):
+    """Model, u0 and the fine and coarse steps_per_slice of a heat,
+    advection or wave experiment."""
     kind, initial = config.model_kind, config.initial_kind
-    model = _build_model(config)
-    size_key = "fine.mode_count" if kind == "spectral" else "model.n_cells"
-    with _config_keys(size_key):
-        layout = model.layout(config.fine_modes) if kind == "spectral" else model.layout()
-    with _config_keys(size_key, "partition.n_slices"):
-        check_boundary_size(config.n_slices, layout.size)
-    if kind == "spectral":
-        if initial == "zero":
-            u0 = model.zero_state(config.fine_modes)
-        elif initial == "modes":
-            with _config_keys("initial.modes"):
-                _check_distinct_modes(config.initial_modes)
-                u0 = model.state_from_modes(dict(config.initial_modes), config.fine_modes)
+    if kind == "wave" and config.source_kind != "zero":
+        raise ConfigError(f"source.kind: the wave model is unforced, got {config.source_kind!r}")
+    if config.source_kind == "modes":
+        raise ConfigError(f"source.kind: {config.source_kind!r} needs a spectral model")
+    source = SourceTerm.pulsed() if config.source_kind == "pulsed" else SourceTerm.zero()
+    with _config_keys("model.n_cells", "model.bc", "model.speed"):
+        if kind == "wave":
+            model = WaveModel(config.n_cells)
+        elif kind == "heat":
+            model = HeatModel(config.n_cells, config.bc, source)
         else:
-            raise ConfigError(f"initial.kind: {initial!r} needs a grid model")
-        with _config_keys("source.modes"):
-            _check_distinct_modes(config.source_modes)
-            model.state_from_modes(dict(config.source_modes), config.fine_modes)
-        return model, u0
+            model = AdvectionModel(config.speed, config.n_cells, config.bc, source)
+    layout = model.layout()
+    with _config_keys("model.n_cells", "partition.n_slices"):
+        check_boundary_size(config.n_slices, layout.size)
     if kind == "wave":
         if initial not in ("zero", "modes"):
             raise ConfigError("initial.kind: the wave model takes zero or mode data")
@@ -274,44 +237,65 @@ def build_model_and_u0(config: ExperimentConfig):
         if initial == "modes":
             for m, c in config.initial_modes:
                 u += c * np.sin(m * np.pi * model.grid_x)
-        return model, model.state_from(u, np.zeros(model.n_unknowns))
+        u0 = model.state_from(u, np.zeros(model.n_unknowns))
+    elif initial == "zero":
+        u0 = model.zero_state()
+    elif initial == "gaussian_bump":
+        u0 = StateVector(layout, np.exp(-100.0 * (model.grid_x - 0.5) ** 2))
+    else:
+        raise ConfigError(f"initial.kind: the {kind} model takes zero or gaussian_bump data")
+    return model, u0, "steps_per_slice", config.fine_steps, config.coarse_steps
+
+
+def _spectral_parts(config: ExperimentConfig):
+    """Model, u0 and the fine and coarse mode_count of a spectral
+    experiment."""
+    modes, initial = config.source_modes, config.initial_kind
+    if config.source_kind == "zero":
+        source = ModeSource.zero()
+    elif config.source_kind == "pulsed":
+        source = ModeSource.pulsed(modes)
+    else:
+        source = ModeSource.constant(modes)
+    with _config_keys("model.length", "model.basis"):
+        model = SpectralModel(config.length, config.basis, source)
+    with _config_keys("fine.mode_count"):
+        layout = model.layout(config.fine_modes)
+    with _config_keys("fine.mode_count", "partition.n_slices"):
+        check_boundary_size(config.n_slices, layout.size)
     if initial == "zero":
-        return model, model.zero_state()
-    if initial == "gaussian_bump":
-        return model, StateVector(model.layout(), _gaussian_bump(model.grid_x))
-    raise ConfigError(f"initial.kind: the {kind} model takes zero or gaussian_bump data")
+        u0 = model.zero_state(config.fine_modes)
+    elif initial == "modes":
+        with _config_keys("initial.modes"):
+            _check_distinct_modes(config.initial_modes)
+            u0 = model.state_from_modes(dict(config.initial_modes), config.fine_modes)
+    else:
+        raise ConfigError(f"initial.kind: {initial!r} needs a grid model")
+    with _config_keys("source.modes"):
+        _check_distinct_modes(modes)
+        model.state_from_modes(dict(modes), config.fine_modes)
+    # the fine propagator advances every value of u0: fine.mode_count
+    # sizes the state, which holds one more value in the cosine basis
+    return model, u0, "mode_count", layout.size, config.coarse_modes
 
 
 def build_parareal(config: ExperimentConfig) -> PararealConfig:
-    model, u0 = build_model_and_u0(config)
+    parts = _spectral_parts if config.model_kind == "spectral" else _grid_parts
+    model, u0, field, fine_value, coarse_value = parts(config)
     with _config_keys("partition.t_end", "partition.t_start", "partition.n_slices"):
         partition = TimePartition(config.t_start, config.t_end, config.n_slices)
-    if config.model_kind == "spectral":
-        # the fine propagator advances every value of u0: fine.mode_count
-        # sizes the state, which holds one more value in the cosine basis
-        fine = PropagatorSpec(model, "fine", mode_count=u0.layout.size)
-        with _config_keys("coarse.mode_count"):
-            coarse = PropagatorSpec(model, "coarse", mode_count=config.coarse_modes)
-    else:
-        with _config_keys("fine.steps_per_slice"):
-            fine = PropagatorSpec(model, "fine", steps_per_slice=config.fine_steps)
-        with _config_keys("coarse.steps_per_slice"):
-            coarse = PropagatorSpec(model, "coarse", steps_per_slice=config.coarse_steps)
+    with _config_keys(f"fine.{field}"):
+        fine = PropagatorSpec(model, "fine", **{field: fine_value})
+    with _config_keys(f"coarse.{field}"):
+        coarse = PropagatorSpec(model, "coarse", **{field: coarse_value})
     # the INI has two spellings of "no coarse propagator"; the spec is built
     # first, so a bad coarse value is rejected under either
-    if config.coarse_role == "none" or (config.model_kind == "spectral" and config.coarse_modes == 0):
+    if config.coarse_role == "none" or (field == "mode_count" and coarse_value == 0):
         coarse = None
     with _config_keys("run.iterations", "run.tolerance", "run.initial_guess", "coarse.mode_count", "model.length"):
-        return PararealConfig(
-            partition=partition,
-            u0=u0,
-            fine=fine,
-            coarse=coarse,
-            max_iterations=config.iterations,
-            initial_guess=config.initial_guess,
-            tolerance=config.tolerance,
-            seed=config.seed,
-        )
+        return PararealConfig(partition, u0, fine, coarse, max_iterations=config.iterations,
+                              initial_guess=config.initial_guess, tolerance=config.tolerance,
+                              seed=config.seed)
 
 
 # --------------------------------------------------------------------------
@@ -424,12 +408,3 @@ def experiment_preset_names() -> tuple[str, ...]:
 def field_preset_names() -> tuple[str, ...]:
     return tuple(_FIELD_PRESETS)
 
-
-def without_coarse(config: ExperimentConfig) -> ExperimentConfig:
-    return replace(config, coarse_role="none")
-
-
-def with_iterations(config: ExperimentConfig, iterations: int) -> ExperimentConfig:
-    if iterations < 1:
-        raise ConfigError(f"run.iterations: must be >= 1, got {iterations}")
-    return replace(config, iterations=iterations)

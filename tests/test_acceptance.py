@@ -30,8 +30,6 @@ from pitkit.presets import (
     build_parareal,
     experiment_preset,
     experiment_preset_names,
-    with_iterations,
-    without_coarse,
 )
 from pitkit.spectral import SpectralModel, source_mode_integral
 
@@ -71,7 +69,7 @@ def _sups(trace):
 def _preset_trace(name: str, coarse: bool = True, iterations=None):
     config = experiment_preset(name)
     if not coarse:
-        config = without_coarse(config)
+        config = dataclasses.replace(config, coarse_role="none")
     if iterations is not None:
         config = dataclasses.replace(config, iterations=iterations)
     return run(build_parareal(config))
@@ -378,8 +376,8 @@ def test_criterion_11_coarse_free_sweeps_grow_with_n():
     measured count is exactly ceil(ln(tol*e_0/e_1)/ln rho) + 1."""
     ratios = {1e-6: set(), 1e-10: set()}
     for n_slices in (6, 12, 24, 48):
-        experiment = with_iterations(without_coarse(experiment_preset(f"heat-dirichlet-N{n_slices}")),
-                                     n_slices)
+        experiment = dataclasses.replace(experiment_preset(f"heat-dirichlet-N{n_slices}"),
+                                         coarse_role="none", iterations=n_slices)
         config = build_parareal(experiment)
         sups = _sups(run(config))
         steps = config.fine.steps_per_slice

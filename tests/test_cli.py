@@ -6,10 +6,11 @@ from dataclasses import replace
 
 import pytest
 
-from pitkit import cli
+from pitkit import cli, parareal
 from pitkit.cli import FACTORS_HEADER, FIELD_HEADER, TRACE_HEADER, main
-from pitkit.core import MAX_RUN_VALUES, NumericalError
+from pitkit.core import MAX_RUN_VALUES, ConfigError, NumericalError
 from pitkit.presets import (
+    build_parareal,
     experiment_preset,
     experiment_preset_names,
     field_preset,
@@ -264,18 +265,6 @@ def test_failed_run_leaves_no_out_file(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-def test_bc_alias_for_inflow_wall(tmp_path):
-    cfg = tmp_path / "exp.ini"
-    cfg.write_text(
-        "[model]\nkind = advection\nbc = dirichlet_inflow_zero\n"
-        "[partition]\nn_slices = 6\n[fine]\nsteps_per_slice = 64\n"
-        "[coarse]\nrole = none\n[run]\niterations = 2\n"
-    )
-    out = tmp_path / "trace.csv"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    assert _header(out)["model.bc"] == "inflow"
-
-
 def test_pulse_whose_square_distance_overflows_adds_nothing(tmp_path):
     """At t = 1e200, (t - tj) ** 2 overflows for every pulse time tj; each
     pulse then adds 0.0 to the source instead of failing the run."""
@@ -296,6 +285,8 @@ _BAD_RUN_CONFIGS = {
     "no-slices": ("[partition]\nn_slices = 0\n", "partition.n_slices"),
     "advection-dirichlet": ("[model]\nkind = advection\nbc = dirichlet\n",
                             "model.bc: unknown bc 'dirichlet'"),
+    "advection-dirichlet-inflow-zero": ("[model]\nkind = advection\nbc = dirichlet_inflow_zero\n",
+                                        "model.bc: unknown bc"),
     "t_end-before-start": ("[partition]\nt_start = 1.0\nt_end = 0.5\n", "partition.t_end"),
     "negative-coarse-steps": ("[coarse]\nsteps_per_slice = -1\n", "coarse.steps_per_slice"),
     "spectral-no-fine-modes": ("[model]\nkind = spectral\n[source]\nkind = zero\n"
@@ -372,6 +363,22 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys, name):
     assert fragment in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("role", ["fine", "coarse"])
+def test_zero_steps_exit_2_before_any_propagation(tmp_path, capsys, monkeypatch, role):
+    """A step count of 0 is rejected while the config is built, not after
+    the reference run has propagated every slice."""
+    calls = []
+    propagate = parareal.propagate_slice
+    monkeypatch.setattr(parareal, "propagate_slice", lambda *args: calls.append(args) or propagate(*args))
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[{role}]\nsteps_per_slice = 0\n")
+    with pytest.raises(ConfigError, match=f"^{role}.steps_per_slice: must be >= 1, got 0$"):
+        build_parareal(load_config(str(cfg)))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {role}.steps_per_slice: must be >= 1, got 0\n"
+    assert calls == []
 
 
 @pytest.mark.parametrize("preset", [*experiment_preset_names(), *field_preset_names()])
@@ -463,6 +470,27 @@ def test_factors_table_past_the_size_limit_exits_2(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("length", ["1e-160", "1e-310"])
+def test_factors_length_whose_top_rate_is_not_finite_exits_2(tmp_path, capsys, length):
+    """(16 * pi / length) ** 2 overflows at 1e-160; at 1e-310 pi / length
+    is already infinite."""
+    cfg = tmp_path / "factors.ini"
+    cfg.write_text(f"[factors]\nlength = {length}\n")
+    assert main(["factors", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: factors.length: {float(length)} gives mode 16 a decay rate that is not finite\n"
+
+
+def test_factors_slice_too_short_to_contract_names_its_key(tmp_path, capsys):
+    cfg = tmp_path / "factors.ini"
+    cfg.write_text("[factors]\ndts = 1e-320\n")
+    out = tmp_path / "factors.csv"
+    assert main(["factors", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: factors.dts: coarse step is not strictly stable at lam*dT = 1e-320")
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ solution field
 
 
@@ -499,9 +527,7 @@ def test_field_periodic_advection_conserves_injected_mass(tmp_path):
     field = _field(out)
     final_sum = sum(field[3.0])
 
-    from pitkit.presets import build_model_and_u0, field_preset
-
-    model, _ = build_model_and_u0(field_preset("advection-periodic"))
+    model = build_parareal(field_preset("advection-periodic")).fine.model
     n_steps = 48 * 8
     dt = 3.0 / n_steps
     injected = 0.0

@@ -29,11 +29,9 @@ from pitkit.parareal import (
 )
 from pitkit.presets import (
     ExperimentConfig,
-    build_model_and_u0,
     build_parareal,
     experiment_preset,
     load_config,
-    without_coarse,
 )
 from pitkit.spectral import ModeSource, SpectralModel
 
@@ -376,7 +374,8 @@ def test_no_coarse_propagator_is_spelled_coarse_none():
     assert _spectral_config(m_coarse=2).coarse.mode_count == 2
     assert _heat_config(coarse=True).coarse.role == "coarse"
     assert build_parareal(experiment_preset("spectral-mG0")).coarse is None
-    assert build_parareal(without_coarse(experiment_preset("heat-dirichlet-N6"))).coarse is None
+    assert build_parareal(dataclasses.replace(experiment_preset("heat-dirichlet-N6"),
+                                              coarse_role="none")).coarse is None
 
 
 # ------------------------------------------------------------- validation
@@ -417,8 +416,8 @@ def test_wave_initial_modes_add_up_a_repeated_mode():
     once = ExperimentConfig(model_kind="wave", source_kind="zero", initial_kind="modes",
                             initial_modes=((1, 3.0),))
     twice = dataclasses.replace(once, initial_modes=((1, 1.0), (1, 2.0)))
-    np.testing.assert_allclose(build_model_and_u0(twice)[1].values,
-                               build_model_and_u0(once)[1].values, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(build_parareal(twice).u0.values,
+                               build_parareal(once).u0.values, rtol=0.0, atol=1e-15)
 
 
 def test_wrong_role_rejected():

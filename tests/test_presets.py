@@ -1,0 +1,106 @@
+"""What build_parareal makes of every model, source and initial kind."""
+
+import hashlib
+import itertools
+import math
+
+import pytest
+
+from pitkit.core import ConfigError, PropagatorSpec
+from pitkit.heat import HeatModel, SourceTerm
+from pitkit.hyperbolic import AdvectionModel, WaveModel
+from pitkit.presets import (
+    INITIAL_KINDS,
+    MODEL_KINDS,
+    SOURCE_KINDS,
+    ExperimentConfig,
+    build_parareal,
+)
+from pitkit.spectral import ModeSource, SpectralModel
+
+_HEAT = {kind: HeatModel(8, "dirichlet", source)
+         for kind, source in (("zero", SourceTerm.zero()), ("pulsed", SourceTerm.pulsed()))}
+_ADVECTION = {kind: AdvectionModel(1.0, 8, "inflow", source)
+              for kind, source in (("zero", SourceTerm.zero()), ("pulsed", SourceTerm.pulsed()))}
+_SPECTRAL = {kind: SpectralModel(math.pi, "sine", source)
+             for kind, source in (("zero", ModeSource.zero()),
+                                  ("pulsed", ModeSource.pulsed(((2, 1.0),))),
+                                  ("modes", ModeSource.constant(((2, 1.0),))))}
+
+# first 16 hex digits of the SHA-256 of u0's bytes
+_ZEROS_7, _ZEROS_8, _ZEROS_14 = "d4817aa5497628e7", "f5a5fd42d16a2030", "b5fdab78d8947eac"
+_BUMP_7, _BUMP_8 = "2ab8167ea41697ff", "6eaca95134215a6e"
+_MODES_SPECTRAL, _MODES_WAVE = "35c991852d24d2d2", "5834a7ee7da61707"
+
+_GRID_DATA = "initial.kind: the {} model takes zero or gaussian_bump data"
+_NEEDS_SPECTRAL = "source.kind: 'modes' needs a spectral model"
+_NEEDS_GRID = "initial.kind: 'gaussian_bump' needs a grid model"
+_UNFORCED = "source.kind: the wave model is unforced, got {!r}"
+_WAVE_DATA = "initial.kind: the wave model takes zero or mode data"
+
+# (model, source, initial) -> the ConfigError text, or (fine model, u0 digest)
+_BUILT = {
+    ("heat", "zero", "zero"): (_HEAT["zero"], _ZEROS_7),
+    ("heat", "zero", "gaussian_bump"): (_HEAT["zero"], _BUMP_7),
+    ("heat", "zero", "modes"): _GRID_DATA.format("heat"),
+    ("heat", "pulsed", "zero"): (_HEAT["pulsed"], _ZEROS_7),
+    ("heat", "pulsed", "gaussian_bump"): (_HEAT["pulsed"], _BUMP_7),
+    ("heat", "pulsed", "modes"): _GRID_DATA.format("heat"),
+    ("heat", "modes", "zero"): _NEEDS_SPECTRAL,
+    ("heat", "modes", "gaussian_bump"): _NEEDS_SPECTRAL,
+    ("heat", "modes", "modes"): _NEEDS_SPECTRAL,
+    ("spectral", "zero", "zero"): (_SPECTRAL["zero"], _ZEROS_8),
+    ("spectral", "zero", "gaussian_bump"): _NEEDS_GRID,
+    ("spectral", "zero", "modes"): (_SPECTRAL["zero"], _MODES_SPECTRAL),
+    ("spectral", "pulsed", "zero"): (_SPECTRAL["pulsed"], _ZEROS_8),
+    ("spectral", "pulsed", "gaussian_bump"): _NEEDS_GRID,
+    ("spectral", "pulsed", "modes"): (_SPECTRAL["pulsed"], _MODES_SPECTRAL),
+    ("spectral", "modes", "zero"): (_SPECTRAL["modes"], _ZEROS_8),
+    ("spectral", "modes", "gaussian_bump"): _NEEDS_GRID,
+    ("spectral", "modes", "modes"): (_SPECTRAL["modes"], _MODES_SPECTRAL),
+    ("advection", "zero", "zero"): (_ADVECTION["zero"], _ZEROS_8),
+    ("advection", "zero", "gaussian_bump"): (_ADVECTION["zero"], _BUMP_8),
+    ("advection", "zero", "modes"): _GRID_DATA.format("advection"),
+    ("advection", "pulsed", "zero"): (_ADVECTION["pulsed"], _ZEROS_8),
+    ("advection", "pulsed", "gaussian_bump"): (_ADVECTION["pulsed"], _BUMP_8),
+    ("advection", "pulsed", "modes"): _GRID_DATA.format("advection"),
+    ("advection", "modes", "zero"): _NEEDS_SPECTRAL,
+    ("advection", "modes", "gaussian_bump"): _NEEDS_SPECTRAL,
+    ("advection", "modes", "modes"): _NEEDS_SPECTRAL,
+    ("wave", "zero", "zero"): (WaveModel(8), _ZEROS_14),
+    ("wave", "zero", "gaussian_bump"): _WAVE_DATA,
+    ("wave", "zero", "modes"): (WaveModel(8), _MODES_WAVE),
+    ("wave", "pulsed", "zero"): _UNFORCED.format("pulsed"),
+    ("wave", "pulsed", "gaussian_bump"): _UNFORCED.format("pulsed"),
+    ("wave", "pulsed", "modes"): _UNFORCED.format("pulsed"),
+    ("wave", "modes", "zero"): _UNFORCED.format("modes"),
+    ("wave", "modes", "gaussian_bump"): _UNFORCED.format("modes"),
+    ("wave", "modes", "modes"): _UNFORCED.format("modes"),
+}
+
+
+@pytest.mark.parametrize("kinds", list(itertools.product(MODEL_KINDS, SOURCE_KINDS, INITIAL_KINDS)),
+                         ids="-".join)
+def test_every_kind_combination_builds_its_model_specs_and_u0(kinds):
+    """Each combination is built or rejected as pinned here: the fine and
+    coarse specs and u0's bytes, or the ConfigError's full text."""
+    model_kind, source_kind, initial_kind = kinds
+    config = ExperimentConfig(
+        model_kind=model_kind, bc="inflow" if model_kind == "advection" else "dirichlet",
+        n_cells=8, source_kind=source_kind, source_modes=((2, 1.0),), initial_kind=initial_kind,
+        initial_modes=((1, 1.0), (3, 0.5)), n_slices=4, fine_modes=8, coarse_modes=2)
+    expected = _BUILT[kinds]
+    if isinstance(expected, str):
+        with pytest.raises(ConfigError) as info:
+            build_parareal(config)
+        assert str(info.value) == expected
+        return
+    model, digest = expected
+    built = build_parareal(config)
+    if model_kind == "spectral":
+        fine, coarse = {"mode_count": 8}, {"mode_count": 2}
+    else:
+        fine, coarse = {"steps_per_slice": 6}, {"steps_per_slice": 1}
+    assert built.fine == PropagatorSpec(model, "fine", **fine)
+    assert built.coarse == PropagatorSpec(model, "coarse", **coarse)
+    assert hashlib.sha256(built.u0.values.tobytes()).hexdigest()[:16] == digest

@@ -11,7 +11,6 @@ from .core import (
     NumericalError,
     PropagatorSpec,
     SingularSystemError,
-    StateVector,
     TimePartition,
     discrete_l2_norm,
     propagate_slice,
@@ -29,7 +28,6 @@ __all__ = [
     "PararealConfig",
     "PropagatorSpec",
     "SingularSystemError",
-    "StateVector",
     "TimePartition",
     "discrete_l2_norm",
     "factors",

@@ -1,6 +1,6 @@
 """Shared domain types for the parallel-in-time solvers.
 
-Time partitions, state snapshots, propagator specifications and iteration
+Time partitions, state layouts, propagator specifications and iteration
 traces.  Everything here is an immutable value object so that propagators
 stay pure functions.
 """
@@ -59,6 +59,10 @@ class GridLayout:
     def size(self) -> int:
         return self.n_points * self.components
 
+    def norm(self, values: np.ndarray) -> float:
+        """Discrete L2 norm sqrt(dx * sum(v_i^2))."""
+        return float(np.sqrt(self.dx * np.dot(values, values)))
+
 
 @dataclass(frozen=True)
 class ModeLayout:
@@ -84,26 +88,18 @@ class ModeLayout:
     def size(self) -> int:
         return self.m_max if self.basis == "sine" else self.m_max + 1
 
+    def norm(self, values: np.ndarray) -> float:
+        """L2 norm of the reconstructed function on (0, length) (Parseval),
+        so grid and mode representations of the same function measure
+        alike."""
+        v = values
+        if self.basis == "sine":
+            return float(np.sqrt(0.5 * self.length * np.dot(v, v)))
+        # cosine: the constant mode integrates to length, the rest to length/2
+        return float(np.sqrt(self.length * v[0] ** 2 + 0.5 * self.length * np.dot(v[1:], v[1:])))
+
 
 Layout = Union[GridLayout, ModeLayout]
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """One solution snapshot: a layout plus a read-only value array."""
-
-    layout: Layout
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.layout.size,):
-            raise ValueError(
-                f"layout expects {self.layout.size} values, got shape {values.shape}"
-            )
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
 
 
 # --------------------------------------------------------------------------
@@ -195,21 +191,9 @@ def propagate_slice(model, spec: PropagatorSpec, states: np.ndarray,
 # norms
 
 
-def discrete_l2_norm(state: StateVector) -> float:
-    """Discrete L2 norm of a state.
-
-    Grid layout: sqrt(dx * sum(v_i^2)).  Mode layout: the corresponding
-    integral norm of the reconstructed function (Parseval), so grid and
-    mode representations of the same function measure alike.
-    """
-    v = state.values
-    layout = state.layout
-    if isinstance(layout, GridLayout):
-        return float(np.sqrt(layout.dx * np.dot(v, v)))
-    if layout.basis == "sine":
-        return float(np.sqrt(0.5 * layout.length * np.dot(v, v)))
-    # cosine: the constant mode integrates to length, the rest to length/2
-    return float(np.sqrt(layout.length * v[0] ** 2 + 0.5 * layout.length * np.dot(v[1:], v[1:])))
+def discrete_l2_norm(layout: Layout, values: np.ndarray) -> float:
+    """Discrete L2 norm of the values of one state of ``layout``."""
+    return layout.norm(values)
 
 
 # --------------------------------------------------------------------------

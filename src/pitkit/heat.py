@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    MAX_RUN_VALUES,
     ConfigError,
     GridLayout,
     PropagatorSpec,
     SingularSystemError,
-    StateVector,
 )
 
 # the pulsed source of the experiment presets: a Gaussian bump in space,
@@ -83,17 +83,16 @@ class GridModel:
     def dx(self) -> float:
         return 1.0 / self.n_cells
 
-    def zero_state(self) -> StateVector:
-        layout = self.layout()
-        return StateVector(layout, np.zeros(layout.size))
+    def zero_state(self) -> np.ndarray:
+        return np.zeros(self.layout().size)
 
-    def check_spec(self, spec: PropagatorSpec | None, layout) -> None:
+    def check_spec(self, spec: PropagatorSpec, layout, span: float) -> None:
         """Raise ValueError unless ``layout`` is the model's own, and
-        ConfigError if ``spec`` takes no step."""
+        ConfigError unless ``spec`` crosses a slice of length ``span`` in
+        substeps of positive finite length."""
         if layout != self.layout():
             raise ValueError(f"state layout {layout} does not fit model {self}")
-        if spec is not None:
-            _check_steps(spec)
+        _check_steps(spec, span)
 
     def propagate(self, spec: PropagatorSpec, states: np.ndarray, t_from, t_to) -> np.ndarray:
         """Advance each row i of the stack states[m, size] from t_from[i]
@@ -105,7 +104,6 @@ class GridModel:
         one long propagate over their union.
         """
         steps = spec.steps_per_slice
-        _check_steps(spec)
         t_from = np.asarray(t_from, dtype=float).tolist()
         t_to = np.asarray(t_to, dtype=float).tolist()
         size = self.layout().size
@@ -114,6 +112,7 @@ class GridModel:
         spans = [b - a for a, b in zip(t_from, t_to)]
         if not all(span > 0.0 for span in spans):
             raise ValueError(f"need t_to > t_from, got [{t_from}, {t_to}]")
+        _check_steps(spec, min(spans))
         dts = {span / steps for span in spans}
         if len(dts) != 1:
             raise ValueError(f"the rows of one stack need one substep length, got {sorted(dts)}")
@@ -146,8 +145,7 @@ class HeatModel(GridModel):
     source: SourceTerm = SourceTerm.zero()
 
     def __post_init__(self):
-        if self.n_cells < 2:
-            raise ValueError(f"n_cells must be at least 2, got {self.n_cells}")
+        _check_cells(self.n_cells)
         if self.bc not in ("dirichlet", "neumann"):
             raise ValueError(f"unknown bc {self.bc!r}")
 
@@ -197,12 +195,30 @@ class HeatModel(GridModel):
         return step
 
 
-def _check_steps(spec: PropagatorSpec) -> None:
-    if spec.steps_per_slice < 1:
-        raise ConfigError(f"{spec.role}.steps_per_slice: must be >= 1, got {spec.steps_per_slice}")
+def _check_cells(n_cells: int) -> None:
+    """A grid has at least 2 cells, and no more than a run may hold values."""
+    if n_cells < 2:
+        raise ValueError(f"n_cells must be at least 2, got {n_cells}")
+    if n_cells > MAX_RUN_VALUES:
+        raise ValueError(f"n_cells must be at most {MAX_RUN_VALUES}, the most values a run may hold")
 
 
-def conserved_mean(model: HeatModel, state: StateVector) -> float:
+def _check_steps(spec: PropagatorSpec, span: float) -> None:
+    """Reject a step count below 1, or one whose substep across a slice of
+    length ``span`` is not a positive finite float."""
+    steps = spec.steps_per_slice
+    if steps < 1:
+        raise ConfigError(f"{spec.role}.steps_per_slice: must be >= 1, got {steps}")
+    try:
+        dt = span / steps
+    except OverflowError:  # a count beyond the float range: the substep rounds to 0
+        dt = 0.0
+    if not 0.0 < dt < math.inf:
+        raise ConfigError(f"{spec.role}.steps_per_slice: the substep of a slice of length "
+                          f"{span!r} is {dt!r}, not a positive finite float")
+
+
+def conserved_mean(model: HeatModel, values: np.ndarray) -> float:
     """Trapezoidal mean of a Neumann state.
 
     This is the quantity the ghost-point closure conserves exactly under
@@ -214,7 +230,7 @@ def conserved_mean(model: HeatModel, state: StateVector) -> float:
     w = np.ones(model.n_unknowns)
     w[0] = 0.5
     w[-1] = 0.5
-    return float(np.dot(w, state.values) / model.n_cells)
+    return float(np.dot(w, values) / model.n_cells)
 
 
 # --------------------------------------------------------------------------
@@ -369,12 +385,11 @@ def _source_profile(model) -> np.ndarray | None:
     return profile
 
 
-def grid_step(model, state: StateVector, t: float, dt: float) -> StateVector:
+def grid_step(model, values: np.ndarray, t: float, dt: float) -> np.ndarray:
     """One step of a grid model's scheme from t to t + dt.  Builds its own
     stepper, so it is the reference the cached ``GridModel.propagate``
     march is checked against."""
-    model.check_spec(None, state.layout)
-    return StateVector(state.layout, model.stepper(dt)(state.values[None], [t])[0])
+    return model.stepper(dt)(values[None], [t])[0]
 
 
 @functools.lru_cache(maxsize=64)

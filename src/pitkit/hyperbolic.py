@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, GridLayout, StateVector
+from .core import ConfigError, GridLayout
 from .heat import (
     GridModel,
     HeatModel,
     SourceTerm,
     TridiagonalSystem,
+    _check_cells,
     _source_profile,
     _ThomasFactor,
     identity_minus,
@@ -41,8 +42,7 @@ class AdvectionModel(GridModel):
     def __post_init__(self):
         if self.speed <= 0.0:
             raise ValueError(f"speed must be positive, got {self.speed}")
-        if self.n_cells < 2:
-            raise ValueError(f"n_cells must be at least 2, got {self.n_cells}")
+        _check_cells(self.n_cells)
         if self.bc not in ("periodic", "inflow"):
             raise ValueError(f"unknown bc {self.bc!r}")
 
@@ -90,8 +90,7 @@ class WaveModel(GridModel):
     n_cells: int = 128
 
     def __post_init__(self):
-        if self.n_cells < 2:
-            raise ValueError(f"n_cells must be at least 2, got {self.n_cells}")
+        _check_cells(self.n_cells)
 
     @property
     def n_unknowns(self) -> int:
@@ -104,12 +103,12 @@ class WaveModel(GridModel):
     def layout(self) -> GridLayout:
         return GridLayout(self.n_unknowns, self.dx, "dirichlet", components=2)
 
-    def state_from(self, u: np.ndarray, v: np.ndarray) -> StateVector:
-        return StateVector(self.layout(), np.concatenate([u, v]))
+    def state_from(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.concatenate([u, v])
 
-    def split(self, state: StateVector) -> tuple[np.ndarray, np.ndarray]:
+    def split(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = self.n_unknowns
-        return state.values[:n], state.values[n:]
+        return values[:n], values[n:]
 
     def laplacian(self) -> TridiagonalSystem:
         return HeatModel(self.n_cells, "dirichlet").laplacian()
@@ -136,11 +135,11 @@ class WaveModel(GridModel):
         return step
 
 
-def wave_energy(model: WaveModel, state: StateVector) -> float:
+def wave_energy(model: WaveModel, values: np.ndarray) -> float:
     """Discrete energy dx*sum(v^2) + sum((u_{j+1}-u_j)^2)/dx over all edges,
     boundary values counted as zero.  Conserved exactly by
     ``WaveModel.stepper``."""
-    u, v = model.split(state)
+    u, v = model.split(values)
     d = np.diff(np.concatenate(([0.0], u, [0.0])))
     return float(model.dx * np.dot(v, v) + np.dot(d, d) / model.dx)
 

@@ -20,7 +20,7 @@ an input unchanged since the last sweep keeps its coarse value.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -29,9 +29,9 @@ from .core import (
     MAX_RUN_VALUES,
     ConfigError,
     IterationTrace,
+    Layout,
     NumericalError,
     PropagatorSpec,
-    StateVector,
     TimePartition,
     discrete_l2_norm,
     propagate_slice,
@@ -51,13 +51,14 @@ def check_boundary_size(n_slices: int, size: int) -> None:
 
 @dataclass(frozen=True)
 class PararealConfig:
-    """One parareal run.  Each spec's model answers for its own states:
-    ``model.check_spec(spec, layout)`` raises ValueError when states of
-    ``layout`` cannot go through ``spec``.  ``coarse`` is None when there is
-    no coarse propagator."""
+    """One parareal run from ``u0``, kept as a read-only copy of one state
+    of ``layout``.  Each spec's model answers for its own states:
+    ``model.check_spec(spec, layout, span)`` raises when states of
+    ``layout`` cannot cross slices of length ``span`` through ``spec``.
+    ``coarse`` is None when there is no coarse propagator."""
 
     partition: TimePartition
-    u0: StateVector
+    u0: np.ndarray
     fine: PropagatorSpec
     coarse: Optional[PropagatorSpec] = None
     max_iterations: int = 10
@@ -65,11 +66,16 @@ class PararealConfig:
     # sup-error early-stop threshold; 0 runs all max_iterations
     tolerance: float = 1e-10
     seed: int = 0
+    layout: Layout = field(kw_only=True)
 
     def __post_init__(self):
+        u0 = np.array(self.u0, dtype=float)
+        if u0.shape != (self.layout.size,):
+            raise ValueError(f"layout expects {self.layout.size} values, got shape {u0.shape}")
+        object.__setattr__(self, "u0", _read_only(u0))
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        check_boundary_size(self.partition.n_slices, self.u0.layout.size)
+        check_boundary_size(self.partition.n_slices, self.layout.size)
         if (self.max_iterations + 1) * (self.partition.n_slices + 1) > MAX_RUN_VALUES:
             raise ConfigError(f"max_iterations {self.max_iterations}: a trace of "
                               f"{self.max_iterations + 1} x {self.partition.n_slices + 1} errors "
@@ -77,13 +83,15 @@ class PararealConfig:
         if self.fine.role != "fine":
             raise ConfigError(f"fine propagator has role {self.fine.role!r}")
         # propagators see raw value stacks, not layouts, so the layout the
-        # run's rows share is checked here, once, against both specs
-        self.fine.model.check_spec(self.fine, self.u0.layout)
+        # run's rows share is checked here, once, against both specs, as is
+        # the shortest slice, whose substeps are the shortest of the run
+        span = float(np.diff(self.partition.boundaries).min())
+        self.fine.model.check_spec(self.fine, self.layout, span)
         coarse = self.coarse
         if coarse is not None:
             if coarse.role != "coarse":
                 raise ConfigError(f"coarse propagator has role {coarse.role!r}")
-            coarse.model.check_spec(coarse, self.u0.layout)
+            coarse.model.check_spec(coarse, self.layout, span)
         if self.initial_guess not in GUESS_KINDS:
             raise ConfigError(
                 f"unknown initial_guess {self.initial_guess!r}, expected one of {GUESS_KINDS}"
@@ -125,8 +133,8 @@ def _read_only(values: np.ndarray) -> np.ndarray:
 
 def _boundaries(config: PararealConfig) -> np.ndarray:
     """A fresh (N+1, size) array whose row 0 is u0."""
-    values = np.zeros((config.partition.n_slices + 1, config.u0.layout.size))
-    values[0] = config.u0.values
+    values = np.zeros((config.partition.n_slices + 1, config.layout.size))
+    values[0] = config.u0
     return values
 
 
@@ -206,7 +214,7 @@ def run(config: PararealConfig, *,
     """Run the iteration against the sequential fine reference.
 
     Returns a trace whose ``errors[k, n]`` is the error at slice boundary n
-    after k sweeps, in the discrete L2 norm of the fine model.  Where the
+    after k sweeps, in the norm ``config.layout.norm``.  Where the
     fine model gives a rate, ``fine.model.uncovered_rate(coarse)``, the trace
     also carries the analytic bound exp(-rate*k*dT) * sup-error(0) per
     sweep.  Stops early once the sup error over boundaries falls below
@@ -223,7 +231,7 @@ def run(config: PararealConfig, *,
     def record(k: int, values: np.ndarray, start: float) -> None:
         wall_time_ms.append((time.perf_counter() - start) * 1e3)
         row = np.array([0.0 if finite[n] and _same(v, r)
-                        else discrete_l2_norm(StateVector(config.u0.layout, v - r))
+                        else discrete_l2_norm(config.layout, v - r)
                         for n, (v, r) in enumerate(zip(values, reference))])
         if not np.isfinite(row.max()):
             raise NumericalError(f"iteration {k} produced a non-finite error {row.max()}")

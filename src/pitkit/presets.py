@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, PropagatorSpec, StateVector, TimePartition
+from .core import ConfigError, PropagatorSpec, TimePartition
 from .heat import HeatModel, SourceTerm
 from .hyperbolic import AdvectionModel, WaveModel
 from .parareal import GUESS_KINDS, PararealConfig, check_boundary_size
@@ -212,8 +212,8 @@ def _check_distinct_modes(pairs):
 
 
 def _grid_parts(config: ExperimentConfig):
-    """Model, u0 and the fine and coarse steps_per_slice of a heat,
-    advection or wave experiment."""
+    """Model, layout, u0 and the fine and coarse steps_per_slice of a
+    heat, advection or wave experiment."""
     kind, initial = config.model_kind, config.initial_kind
     if kind == "wave" and config.source_kind != "zero":
         raise ConfigError(f"source.kind: the wave model is unforced, got {config.source_kind!r}")
@@ -241,14 +241,14 @@ def _grid_parts(config: ExperimentConfig):
     elif initial == "zero":
         u0 = model.zero_state()
     elif initial == "gaussian_bump":
-        u0 = StateVector(layout, np.exp(-100.0 * (model.grid_x - 0.5) ** 2))
+        u0 = np.exp(-100.0 * (model.grid_x - 0.5) ** 2)
     else:
         raise ConfigError(f"initial.kind: the {kind} model takes zero or gaussian_bump data")
-    return model, u0, "steps_per_slice", config.fine_steps, config.coarse_steps
+    return model, layout, u0, "steps_per_slice", config.fine_steps, config.coarse_steps
 
 
 def _spectral_parts(config: ExperimentConfig):
-    """Model, u0 and the fine and coarse mode_count of a spectral
+    """Model, layout, u0 and the fine and coarse mode_count of a spectral
     experiment."""
     modes, initial = config.source_modes, config.initial_kind
     if config.source_kind == "zero":
@@ -276,12 +276,12 @@ def _spectral_parts(config: ExperimentConfig):
         model.state_from_modes(dict(modes), config.fine_modes)
     # the fine propagator advances every value of u0: fine.mode_count
     # sizes the state, which holds one more value in the cosine basis
-    return model, u0, "mode_count", layout.size, config.coarse_modes
+    return model, layout, u0, "mode_count", layout.size, config.coarse_modes
 
 
 def build_parareal(config: ExperimentConfig) -> PararealConfig:
     parts = _spectral_parts if config.model_kind == "spectral" else _grid_parts
-    model, u0, field, fine_value, coarse_value = parts(config)
+    model, layout, u0, field, fine_value, coarse_value = parts(config)
     with _config_keys("partition.t_end", "partition.t_start", "partition.n_slices"):
         partition = TimePartition(config.t_start, config.t_end, config.n_slices)
     with _config_keys(f"fine.{field}"):
@@ -295,7 +295,7 @@ def build_parareal(config: ExperimentConfig) -> PararealConfig:
     with _config_keys("run.iterations", "run.tolerance", "run.initial_guess", "coarse.mode_count", "model.length"):
         return PararealConfig(partition, u0, fine, coarse, max_iterations=config.iterations,
                               initial_guess=config.initial_guess, tolerance=config.tolerance,
-                              seed=config.seed)
+                              seed=config.seed, layout=layout)
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .core import (
     GridLayout,
     ModeLayout,
     PropagatorSpec,
-    StateVector,
 )
 from .heat import PULSE_TIMES, TIME_DECAY
 
@@ -124,10 +123,10 @@ class SpectralModel:
     def layout(self, m_max: int) -> ModeLayout:
         return ModeLayout(m_max, self.basis, self.length)
 
-    def zero_state(self, m_max: int) -> StateVector:
-        return StateVector(self.layout(m_max), np.zeros(self.layout(m_max).size))
+    def zero_state(self, m_max: int) -> np.ndarray:
+        return np.zeros(self.layout(m_max).size)
 
-    def state_from_modes(self, amplitudes: dict[int, float], m_max: int) -> StateVector:
+    def state_from_modes(self, amplitudes: dict[int, float], m_max: int) -> np.ndarray:
         layout = self.layout(m_max)
         values = np.zeros(layout.size)
         for m, a in amplitudes.items():
@@ -135,12 +134,13 @@ class SpectralModel:
             if not 0 <= position < layout.size:
                 raise ValueError(f"mode {m} outside the layout with m_max {m_max}")
             values[position] = a
-        return StateVector(layout, values)
+        return values
 
-    def check_spec(self, spec: PropagatorSpec, layout) -> None:
+    def check_spec(self, spec: PropagatorSpec, layout, span: float) -> None:
         """Raise ValueError unless ``layout`` holds modes of the model's basis
         on its interval, all with finite decay rates, and ``spec`` fits it: a
-        fine spec advances every value, a coarse one fewer but at least one."""
+        fine spec advances every value, a coarse one fewer but at least one.
+        Each slice is integrated exactly, whatever its length ``span``."""
         if not isinstance(layout, ModeLayout) or layout.basis != self.basis or layout.length != self.length:
             raise ValueError(f"state layout {layout} does not fit model {self}")
         top = self.mode_index(layout.size - 1)
@@ -250,61 +250,54 @@ def _slice_forcing(model: SpectralModel, position: int, t0: float, t1: float) ->
 # grid <-> mode transforms (direct sums, O(n * m))
 
 
-def project_to_modes(state: StateVector, m_max: int) -> StateVector:
-    """Expand a grid state in the discrete sine or cosine basis.
+def project_to_modes(grid: GridLayout, values: np.ndarray, m_max: int) -> np.ndarray:
+    """Coefficients of the values of one state of ``grid`` in the discrete
+    sine or cosine basis, modes up to m_max: a state of
+    ``ModeLayout(m_max, basis, n_cells * grid.dx)``.
 
     Dirichlet grids map to the sine basis, Neumann grids to the cosine
     basis.  m_max beyond the grid's Nyquist limit raises ValueError.
     """
-    layout = state.layout
-    if not isinstance(layout, GridLayout) or layout.components != 1:
-        raise ValueError("project_to_modes expects a scalar grid state")
-    if layout.bc == "dirichlet":
-        n_cells = layout.n_points + 1
+    if grid.components != 1:
+        raise ValueError("project_to_modes expects a scalar grid")
+    if grid.bc == "dirichlet":
+        n_cells = grid.n_points + 1
         if m_max > n_cells - 1:
             raise ValueError(f"m_max {m_max} beyond Nyquist limit {n_cells - 1}")
-        length = n_cells * layout.dx
         i = np.arange(1, n_cells)
         m = np.arange(1, m_max + 1)
         basis = np.sin(np.pi * np.outer(m, i) / n_cells)
-        coeffs = (2.0 / n_cells) * (basis @ state.values)
-        return StateVector(ModeLayout(m_max, "sine", length), coeffs)
-    if layout.bc == "neumann":
-        n_cells = layout.n_points - 1
+        return (2.0 / n_cells) * (basis @ values)
+    if grid.bc == "neumann":
+        n_cells = grid.n_points - 1
         if m_max > n_cells - 1:
             raise ValueError(f"m_max {m_max} beyond Nyquist limit {n_cells - 1}")
-        length = n_cells * layout.dx
         i = np.arange(0, n_cells + 1)
         w = np.ones(n_cells + 1)
         w[0] = 0.5
         w[-1] = 0.5
-        weighted = w * state.values
+        weighted = w * values
         m = np.arange(0, m_max + 1)
         basis = np.cos(np.pi * np.outer(m, i) / n_cells)
         coeffs = (2.0 / n_cells) * (basis @ weighted)
         coeffs[0] *= 0.5
-        return StateVector(ModeLayout(m_max, "cosine", length), coeffs)
-    raise ValueError(f"no mode basis for bc {layout.bc!r}")
+        return coeffs
+    raise ValueError(f"no mode basis for bc {grid.bc!r}")
 
 
-def reconstruct(state: StateVector, grid: GridLayout) -> StateVector:
-    """Evaluate a mode state on a grid layout (inverse of project_to_modes
-    for band-limited data)."""
-    layout = state.layout
-    if not isinstance(layout, ModeLayout):
-        raise ValueError("reconstruct expects a mode state")
-    if layout.basis == "sine":
+def reconstruct(modes: ModeLayout, coeffs: np.ndarray, grid: GridLayout) -> np.ndarray:
+    """Values on ``grid`` of the state of ``modes`` with coefficients
+    ``coeffs`` (inverse of project_to_modes for band-limited data)."""
+    if modes.basis == "sine":
         if grid.bc != "dirichlet":
             raise ValueError(f"sine modes reconstruct on a dirichlet grid, not {grid.bc!r}")
         n_cells = grid.n_points + 1
         i = np.arange(1, n_cells)
-        m = np.arange(1, layout.m_max + 1)
-        basis = np.sin(np.pi * np.outer(i, m) / n_cells)
-        return StateVector(grid, basis @ state.values)
+        m = np.arange(1, modes.m_max + 1)
+        return np.sin(np.pi * np.outer(i, m) / n_cells) @ coeffs
     if grid.bc != "neumann":
         raise ValueError(f"cosine modes reconstruct on a neumann grid, not {grid.bc!r}")
     n_cells = grid.n_points - 1
     i = np.arange(0, n_cells + 1)
-    m = np.arange(0, layout.m_max + 1)
-    basis = np.cos(np.pi * np.outer(i, m) / n_cells)
-    return StateVector(grid, basis @ state.values)
+    m = np.arange(0, modes.m_max + 1)
+    return np.cos(np.pi * np.outer(i, m) / n_cells) @ coeffs

@@ -33,7 +33,7 @@ def reordered_sweep(config, old):
     partition, fine, coarse = config.partition, config.fine, config.coarse
     _clear_solver_caches()
     new = np.empty_like(old)
-    new[0] = config.u0.values
+    new[0] = config.u0
     for n in reversed(range(partition.n_slices)):
         new[n + 1] = _propagate_one(fine, old[n], partition.slice_bounds(n))
     if coarse is not None:

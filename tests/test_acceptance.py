@@ -53,6 +53,7 @@ def _spectral_run(m_g: int, guess: str, m_fine: int = 64, n_slices: int = 6,
     config = PararealConfig(
         partition=TimePartition(0.0, t_end, n_slices),
         u0=model.state_from_modes(amplitudes, m_fine),
+        layout=model.layout(m_fine),
         fine=PropagatorSpec(model, "fine", mode_count=m_fine),
         coarse=PropagatorSpec(model, "coarse", mode_count=m_g) if m_g else None,
         max_iterations=iterations,
@@ -92,7 +93,7 @@ def test_criterion_1_replicate_guess_equality(m_g):
     rate = model.decay_rate(s)
     dt = config.partition.delta_t
     n_slices = config.partition.n_slices
-    amplitude = discrete_l2_norm(model.state_from_modes({s: 1.0}, 64)) * MODE_DATA[m_g][s]
+    amplitude = discrete_l2_norm(model.layout(64), model.state_from_modes({s: 1.0}, 64)) * MODE_DATA[m_g][s]
     # the slowest uncovered mode's initial error at boundary j is
     # |u_s|*(1 - e^{-rate*j*dT}), which grows with j.  After k sweeps
     # boundaries n <= k are exact and boundary n > k carries k fine decays of
@@ -119,7 +120,7 @@ def test_spectral_equality_holds_for_zero_guess(m_g):
     s = m_g + 1
     rate = model.decay_rate(s)
     dt = config.partition.delta_t
-    weight = discrete_l2_norm(model.state_from_modes({s: 1.0}, 64))
+    weight = discrete_l2_norm(model.layout(64), model.state_from_modes({s: 1.0}, 64))
     initial = weight * MODE_DATA[m_g][s] * math.exp(-rate * dt)
     sups = _sups(trace)
     for k in range(1, 6):
@@ -339,6 +340,7 @@ def test_criterion_10_slice_sweep_vs_monolithic_stepping():
     config = PararealConfig(
         partition=partition,
         u0=model.zero_state(),
+        layout=model.layout(),
         fine=PropagatorSpec(model, "fine", steps_per_slice=48),
         max_iterations=1,
         tolerance=0.0,

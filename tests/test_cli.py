@@ -71,6 +71,20 @@ def test_console_entry_point_runs():
     assert "heat-dirichlet-N48" in proc.stdout
 
 
+def test_importing_the_cli_adds_no_module_outside_stdlib_but_numpy():
+    """``import pitkit.cli`` loads nothing beyond the standard library but
+    numpy and pitkit.  A bare interpreter's modules, such as those site
+    hooks load, are subtracted."""
+    def loaded(code):
+        proc = subprocess.run([sys.executable, "-c", f"{code}; import sys; print(*sys.modules)"],
+                              capture_output=True, text=True, timeout=60, check=True)
+        return {name.split(".")[0] for name in proc.stdout.split()}
+
+    added = loaded("import pitkit.cli") - loaded("pass")
+    outside = added - set(sys.stdlib_module_names)
+    assert "pitkit" in outside and outside <= {"numpy", "pitkit"}
+
+
 def test_presets_lists_every_name(capsys):
     assert main(["presets"]) == 0
     out = capsys.readouterr().out
@@ -331,7 +345,7 @@ _BAD_RUN_CONFIGS = {
                                 "[fine]\nsteps_per_slice = 4\n[coarse]\nrole = none\n",
                                 "fine.steps_per_slice: CFL number"),
     # past the size limit, rejected before any state of that size exists
-    "heat-cells-past-limit": ("[model]\nn_cells = 1000000000000000\n",
+    "heat-cells-past-limit": ("[model]\nn_cells = 4194304\n",
                               "model.n_cells / partition.n_slices: 49 slice boundaries"),
     "spectral-modes-past-limit": ("[model]\nkind = spectral\n[source]\nkind = zero\n"
                                   "[fine]\nmode_count = 1000000000000\n",
@@ -378,6 +392,49 @@ def test_zero_steps_exit_2_before_any_propagation(tmp_path, capsys, monkeypatch,
         build_parareal(load_config(str(cfg)))
     assert main(["run", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == f"error: {role}.steps_per_slice: must be >= 1, got 0\n"
+    assert calls == []
+
+
+_HUGE = 10**400
+
+# name -> (config document, the key its error names first); each of these
+# once overflowed a float and exited 1 with a traceback
+_OVERFLOW_CONFIGS = {
+    "heat-cells": (f"[model]\nn_cells = {_HUGE}\n", "model.n_cells"),
+    "wave-cells": (f"[model]\nkind = wave\nn_cells = {_HUGE}\n[source]\nkind = zero\n",
+                   "model.n_cells"),
+    "advection-periodic-cells": (f"[model]\nkind = advection\nbc = periodic\nn_cells = {_HUGE}\n",
+                                 "model.n_cells"),
+    "heat-fine-steps": (f"[fine]\nsteps_per_slice = {_HUGE}\n", "fine.steps_per_slice"),
+    "wave-fine-steps": (f"[model]\nkind = wave\n[source]\nkind = zero\n"
+                        f"[fine]\nsteps_per_slice = {_HUGE}\n", "fine.steps_per_slice"),
+    "advection-fine-steps": (f"[model]\nkind = advection\nbc = periodic\n"
+                             f"[fine]\nsteps_per_slice = {_HUGE}\n", "fine.steps_per_slice"),
+    "heat-coarse-steps": (f"[coarse]\nsteps_per_slice = {_HUGE}\n", "coarse.steps_per_slice"),
+    "wave-coarse-steps": (f"[model]\nkind = wave\n[source]\nkind = zero\n"
+                          f"[coarse]\nsteps_per_slice = {_HUGE}\n", "coarse.steps_per_slice"),
+    # the substep 1e-300 / 48 / 1e300 underflows to 0.0
+    "heat-fine-substep-underflow": (f"[partition]\nt_end = 1e-300\n[fine]\nsteps_per_slice = {10**300}\n",
+                                    "fine.steps_per_slice"),
+}
+
+
+@pytest.mark.parametrize("name", list(_OVERFLOW_CONFIGS))
+def test_overflowing_sizes_exit_2_before_any_propagation(tmp_path, capsys, monkeypatch, name):
+    """A cell or step count too large for a float substep is rejected while
+    the config is built, with the key it came from, not as a traceback
+    from the reference run."""
+    text, key = _OVERFLOW_CONFIGS[name]
+    calls = []
+    propagate = parareal.propagate_slice
+    monkeypatch.setattr(parareal, "propagate_slice", lambda *args: calls.append(args) or propagate(*args))
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(text)
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        build_parareal(load_config(str(cfg)))
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and "Traceback" not in err
     assert calls == []
 
 

@@ -8,32 +8,38 @@ from pitkit.core import (
     IterationTrace,
     ModeLayout,
     PropagatorSpec,
-    StateVector,
     TimePartition,
     discrete_l2_norm,
     propagate_slice,
 )
+from pitkit.heat import HeatModel
+from pitkit.parareal import PararealConfig
 
 
-def test_state_vector_is_frozen_float64():
-    layout = GridLayout(4, 0.25, "dirichlet")
-    state = StateVector(layout, [1, 2, 3, 4])
-    assert state.values.dtype == np.float64
+def _config_from(u0):
+    """A run of the 4 interior unknowns of a 5-cell Dirichlet heat grid."""
+    model = HeatModel(n_cells=5)
+    return PararealConfig(TimePartition(0.0, 1.0, 2), u0,
+                          PropagatorSpec(model, "fine", steps_per_slice=1), layout=model.layout())
+
+
+def test_u0_is_frozen_float64():
+    config = _config_from([1, 2, 3, 4])
+    assert config.u0.dtype == np.float64
     with pytest.raises(ValueError):
-        state.values[0] = 9.0
+        config.u0[0] = 9.0
 
 
-def test_state_vector_copies_input():
-    layout = GridLayout(3, 0.5, "dirichlet")
-    raw = np.array([1.0, 2.0, 3.0])
-    state = StateVector(layout, raw)
+def test_u0_copies_input():
+    raw = np.array([1.0, 2.0, 3.0, 4.0])
+    config = _config_from(raw)
     raw[0] = -1.0
-    assert state.values[0] == 1.0
+    assert config.u0[0] == 1.0
 
 
 def test_wrong_length_rejected():
     with pytest.raises(ValueError):
-        StateVector(GridLayout(4, 0.25, "dirichlet"), [1.0, 2.0])
+        _config_from([1.0, 2.0])
 
 
 def test_mode_layout_sizes():
@@ -64,17 +70,19 @@ def test_partition_validation():
 
 def test_discrete_l2_norm_grid():
     # sqrt(dx * sum u^2): 4 points of value 2 with dx = 1/4 -> sqrt(4)
-    state = StateVector(GridLayout(4, 0.25, "dirichlet"), [2.0, 2.0, 2.0, 2.0])
-    assert discrete_l2_norm(state) == pytest.approx(2.0, rel=1e-15)
+    layout = GridLayout(4, 0.25, "dirichlet")
+    values = np.array([2.0, 2.0, 2.0, 2.0])
+    assert discrete_l2_norm(layout, values) == layout.norm(values) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_discrete_l2_norm_modes_matches_continuum():
     # ||sin(m x)||_L2(0,pi) = sqrt(pi/2)
-    state = StateVector(ModeLayout(4, "sine", math.pi), [1.0, 0.0, 0.0, 0.0])
-    assert discrete_l2_norm(state) == pytest.approx(math.sqrt(math.pi / 2), rel=1e-15)
+    sine = ModeLayout(4, "sine", math.pi)
+    assert discrete_l2_norm(sine, np.array([1.0, 0.0, 0.0, 0.0])) == pytest.approx(
+        math.sqrt(math.pi / 2), rel=1e-15)
     # constant mode integrates to L, not L/2
-    cos_state = StateVector(ModeLayout(1, "cosine", math.pi), [1.0, 1.0])
-    assert discrete_l2_norm(cos_state) == pytest.approx(
+    cosine = ModeLayout(1, "cosine", math.pi)
+    assert discrete_l2_norm(cosine, np.array([1.0, 1.0])) == pytest.approx(
         math.sqrt(math.pi + math.pi / 2), rel=1e-15
     )
 
@@ -90,9 +98,8 @@ def test_propagator_spec_roles():
 
 def test_propagate_slice_rejects_unknown_model():
     spec = PropagatorSpec(object(), "fine", steps_per_slice=1)
-    state = StateVector(GridLayout(2, 0.5, "dirichlet"), [0.0, 0.0])
     with pytest.raises(AttributeError, match="propagate"):
-        propagate_slice(object(), spec, state, 0.0, 1.0)
+        propagate_slice(object(), spec, np.zeros((1, 2)), 0.0, 1.0)
 
 
 def _trace():

@@ -14,7 +14,6 @@ from pitkit.core import (
     GridLayout,
     NumericalError,
     PropagatorSpec,
-    StateVector,
     TimePartition,
 )
 import pitkit
@@ -43,6 +42,7 @@ def _heat_config(n_slices=6, guess="replicate_u0", coarse=True, **overrides):
     kwargs = dict(
         partition=TimePartition(0.0, 3.0, n_slices),
         u0=model.zero_state(),
+        layout=model.layout(),
         fine=PropagatorSpec(model, "fine", steps_per_slice=288 // n_slices),
         coarse=PropagatorSpec(model, "coarse", steps_per_slice=1) if coarse else None,
         max_iterations=n_slices,
@@ -59,6 +59,7 @@ def _spectral_config(m_fine=8, m_coarse=0, guess="zero", coefficients=None, **ov
     kwargs = dict(
         partition=TimePartition(0.0, 3.0, 6),
         u0=model.state_from_modes(amplitudes, m_fine),
+        layout=model.layout(m_fine),
         fine=PropagatorSpec(model, "fine", mode_count=m_fine),
         coarse=PropagatorSpec(model, "coarse", mode_count=m_coarse) if m_coarse else None,
         max_iterations=6,
@@ -208,6 +209,7 @@ def test_heat_iteration_matches_dense_linear_algebra():
     config = PararealConfig(
         partition=partition,
         u0=model.zero_state(),
+        layout=model.layout(),
         fine=PropagatorSpec(model, "fine", steps_per_slice=8),
         coarse=PropagatorSpec(model, "coarse", steps_per_slice=1),
         max_iterations=3,
@@ -230,7 +232,7 @@ def test_heat_iteration_matches_dense_linear_algebra():
     for _ in range(2):
         old = state
         state, _ = parareal_iterate(state, config, reference)
-        new = [config.u0.values]
+        new = [config.u0]
         for n in range(4):
             t0, t1 = partition.slice_bounds(n)
             fine = dense_sweep(old[n], t0, t1, 8)
@@ -325,27 +327,27 @@ def test_coarse_sweep_guess_is_sequential_coarse_run():
     config = _heat_config(guess="coarse_sweep")
     state = initialize_guess(config)
     t0, t1 = config.partition.slice_bounds(0)
-    want = _propagate_one(config.coarse, config.u0.values, (t0, t1))
+    want = _propagate_one(config.coarse, config.u0, (t0, t1))
     assert np.array_equal(state[1], want)
-    assert state.shape == (config.partition.n_slices + 1, config.u0.layout.size)
+    assert state.shape == (config.partition.n_slices + 1, config.layout.size)
 
 
 def test_replicate_guess_copies_u0_everywhere():
     model = HeatModel(n_cells=16, bc="neumann", source=SourceTerm.zero())
-    u0 = StateVector(model.layout(), np.linspace(0.0, 1.0, 17))
+    u0 = np.linspace(0.0, 1.0, 17)
     # no coarse spec: the helper's default coarse model is a Dirichlet grid,
     # which a Neumann u0 does not fit
-    config = _heat_config(guess="replicate_u0", coarse=False, u0=u0,
+    config = _heat_config(guess="replicate_u0", coarse=False, u0=u0, layout=model.layout(),
                           fine=PropagatorSpec(model, "fine", steps_per_slice=4))
     state = initialize_guess(config)
     for row in state:
-        assert np.array_equal(row, u0.values)
+        assert np.array_equal(row, u0)
 
 
 def test_zero_guess_keeps_initial_boundary():
     config = _spectral_config(guess="zero", coefficients={1: 2.0})
     state = initialize_guess(config)
-    assert np.array_equal(state[0], config.u0.values)
+    assert np.array_equal(state[0], config.u0)
     assert not state[1:].any()
 
 
@@ -416,8 +418,8 @@ def test_wave_initial_modes_add_up_a_repeated_mode():
     once = ExperimentConfig(model_kind="wave", source_kind="zero", initial_kind="modes",
                             initial_modes=((1, 3.0),))
     twice = dataclasses.replace(once, initial_modes=((1, 1.0), (1, 2.0)))
-    np.testing.assert_allclose(build_parareal(twice).u0.values,
-                               build_parareal(once).u0.values, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(build_parareal(twice).u0,
+                               build_parareal(once).u0, rtol=0.0, atol=1e-15)
 
 
 def test_wrong_role_rejected():
@@ -426,6 +428,7 @@ def test_wrong_role_rejected():
         PararealConfig(
             partition=TimePartition(0.0, 1.0, 2),
             u0=model.zero_state(),
+            layout=model.layout(),
             fine=PropagatorSpec(model, "coarse", steps_per_slice=2),
         )
 
@@ -441,28 +444,29 @@ def test_u0_that_does_not_fit_the_model_is_rejected():
     heat_model = HeatModel(n_cells=16, bc="dirichlet")
     spectral_model = SpectralModel(basis="sine")
     fine_32 = PropagatorSpec(HeatModel(n_cells=32), "fine", steps_per_slice=2)
-    for u0, fine, coarse in (
-        (HeatModel(n_cells=14, bc="neumann").zero_state(),
+    for layout, fine, coarse in (
+        (HeatModel(n_cells=14, bc="neumann").layout(),
          PropagatorSpec(heat_model, "fine", steps_per_slice=2), None),
-        (SpectralModel(basis="cosine").zero_state(4),
+        (SpectralModel(basis="cosine").layout(4),
          PropagatorSpec(spectral_model, "fine", mode_count=4), None),
-        (spectral_model.zero_state(4), PropagatorSpec(spectral_model, "fine", mode_count=8), None),
-        (spectral_model.zero_state(8), PropagatorSpec(spectral_model, "fine", mode_count=4), None),
-        (HeatModel(n_cells=32).zero_state(), fine_32,
+        (spectral_model.layout(4), PropagatorSpec(spectral_model, "fine", mode_count=8), None),
+        (spectral_model.layout(8), PropagatorSpec(spectral_model, "fine", mode_count=4), None),
+        (HeatModel(n_cells=32).layout(), fine_32,
          PropagatorSpec(HeatModel(n_cells=30, bc="neumann"), "coarse", steps_per_slice=1)),
-        (HeatModel(n_cells=32).zero_state(), fine_32,
+        (HeatModel(n_cells=32).layout(), fine_32,
          PropagatorSpec(SpectralModel(), "coarse", mode_count=1)),
-        (HeatModel(n_cells=32).zero_state(), fine_32,
+        (HeatModel(n_cells=32).layout(), fine_32,
          PropagatorSpec(HeatModel(n_cells=16), "coarse", steps_per_slice=1)),
     ):
         with pytest.raises(ValueError, match="does not fit"):
-            run(PararealConfig(TimePartition(0.0, 1.0, 2), u0, fine, coarse))
+            run(PararealConfig(TimePartition(0.0, 1.0, 2), np.zeros(layout.size), fine, coarse,
+                               layout=layout))
 
 
 class _NanAfterOne:
     """Identity propagator that returns NaN for slices ending after t = 1."""
 
-    def check_spec(self, spec, layout):
+    def check_spec(self, spec, layout, span):
         pass
 
     def propagate(self, spec, states, t_from, t_to):
@@ -480,8 +484,8 @@ class _CoarseGrid:
     fine = HeatModel(32, "dirichlet", SourceTerm.pulsed())
     coarse = HeatModel(16, "dirichlet", SourceTerm.pulsed())
 
-    def check_spec(self, spec, layout):
-        return self.fine.check_spec(spec, layout)
+    def check_spec(self, spec, layout, span):
+        return self.fine.check_spec(spec, layout, span)
 
     def propagate(self, spec, states, t_from, t_to):
         # fine unknown j sits at x = (j + 1)/32, so the odd j form the coarse grid
@@ -505,7 +509,7 @@ def test_coarse_model_in_a_smaller_space_plugs_in():
     config = PararealConfig(TimePartition(0.0, 3.0, 6), fine.zero_state(),
                             PropagatorSpec(fine, "fine", steps_per_slice=48),
                             PropagatorSpec(_CoarseGrid(), "coarse", steps_per_slice=6),
-                            max_iterations=6, tolerance=0.0)
+                            max_iterations=6, tolerance=0.0, layout=fine.layout())
     assert config.resolved_guess == "coarse_sweep"
     reference = reference_fine_sequential(config)
     recorded = {}
@@ -519,13 +523,14 @@ def test_coarse_model_in_a_smaller_space_plugs_in():
     with pytest.raises(ValueError, match="does not fit"):
         PararealConfig(TimePartition(0.0, 3.0, 6), neumann.zero_state(),
                        PropagatorSpec(neumann, "fine", steps_per_slice=48),
-                       PropagatorSpec(_CoarseGrid(), "coarse", steps_per_slice=6))
+                       PropagatorSpec(_CoarseGrid(), "coarse", steps_per_slice=6),
+                       layout=neumann.layout())
 
 
 def test_non_finite_error_past_boundary_0_is_a_numerical_failure():
-    u0 = StateVector(GridLayout(2, 0.5, "dirichlet"), [1.0, 1.0])
-    config = PararealConfig(TimePartition(0.0, 2.0, 4), u0,
-                            PropagatorSpec(_NanAfterOne(), "fine"), tolerance=0.0)
+    config = PararealConfig(TimePartition(0.0, 2.0, 4), [1.0, 1.0],
+                            PropagatorSpec(_NanAfterOne(), "fine"), tolerance=0.0,
+                            layout=GridLayout(2, 0.5, "dirichlet"))
     with pytest.raises(NumericalError, match="iteration 0"):
         run(config)
 

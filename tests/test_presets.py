@@ -10,11 +10,13 @@ from pitkit.core import ConfigError, PropagatorSpec
 from pitkit.heat import HeatModel, SourceTerm
 from pitkit.hyperbolic import AdvectionModel, WaveModel
 from pitkit.presets import (
+    _SCHEMA,
     INITIAL_KINDS,
     MODEL_KINDS,
     SOURCE_KINDS,
     ExperimentConfig,
     build_parareal,
+    load_config,
 )
 from pitkit.spectral import ModeSource, SpectralModel
 
@@ -103,4 +105,39 @@ def test_every_kind_combination_builds_its_model_specs_and_u0(kinds):
         fine, coarse = {"steps_per_slice": 6}, {"steps_per_slice": 1}
     assert built.fine == PropagatorSpec(model, "fine", **fine)
     assert built.coarse == PropagatorSpec(model, "coarse", **coarse)
-    assert hashlib.sha256(built.u0.values.tobytes()).hexdigest()[:16] == digest
+    assert hashlib.sha256(built.u0.tobytes()).hexdigest()[:16] == digest
+    assert built.layout == (model.layout(8) if model_kind == "spectral" else model.layout())
+
+
+# the model settings of each run the int sweep builds, as section.key pairs
+_SWEPT_MODELS = {
+    "heat-dirichlet": {"model.kind": "heat", "model.bc": "dirichlet"},
+    "heat-neumann": {"model.kind": "heat", "model.bc": "neumann"},
+    "wave": {"model.kind": "wave", "source.kind": "zero"},
+    "advection-periodic": {"model.kind": "advection", "model.bc": "periodic"},
+    "spectral": {"model.kind": "spectral"},
+}
+_INT_KEYS = [key for key, (_, kind) in _SCHEMA.items() if kind is int]
+_INT_VALUES = {"0": 0, "-1": -1, "1": 1, "2": 2, "10^8": 10**8, "10^20": 10**20, "10^400": 10**400}
+
+
+@pytest.mark.parametrize("model", list(_SWEPT_MODELS))
+def test_every_int_key_builds_or_raises_config_error(tmp_path, model):
+    """Each int key of the schema, set alone to each of a few small, large
+    and overflowing values, either builds or raises ConfigError: never
+    another exception."""
+    cfg = tmp_path / "exp.ini"
+    failures = []
+    for key, label in itertools.product(_INT_KEYS, _INT_VALUES):
+        sections: dict[str, list[str]] = {}
+        for section_key, text in {**_SWEPT_MODELS[model], key: _INT_VALUES[label]}.items():
+            section, name = section_key.split(".")
+            sections.setdefault(section, []).append(f"{name} = {text}\n")
+        cfg.write_text("".join(f"[{section}]\n" + "".join(lines) for section, lines in sections.items()))
+        try:
+            build_parareal(load_config(str(cfg)))
+        except ConfigError:
+            pass
+        except Exception as exc:
+            failures.append(f"{key} = {label}: {type(exc).__name__}: {exc}")
+    assert failures == []

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pitkit.core import PropagatorSpec, StateVector, TimePartition
+from pitkit.core import PropagatorSpec, TimePartition
 from pitkit.heat import (
     STACKED_SOLVE_MIN_ROWS,
     HeatModel,
@@ -161,8 +161,8 @@ def _random_values(seed: int, size: int) -> np.ndarray:
 def test_neumann_heat_conserves_the_mean_without_source(n_cells, steps, t_from, span, seed):
     model = HeatModel(n_cells, "neumann", SourceTerm.zero())
     spec = PropagatorSpec(model, "fine", steps_per_slice=steps)
-    state = StateVector(model.layout(), _random_values(seed, model.n_unknowns))
-    out = StateVector(state.layout, _propagate_one(spec, state.values, (t_from, t_from + span)))
+    state = _random_values(seed, model.n_unknowns)
+    out = _propagate_one(spec, state, (t_from, t_from + span))
     # each solve may move the mean by roundoff in the scale of the system's entries
     stiffness = 1.0 + 4.0 * (span / steps) / model.dx**2
     tolerance = 8 * steps * stiffness * np.finfo(float).eps
@@ -175,8 +175,8 @@ def test_neumann_heat_conserves_the_mean_without_source(n_cells, steps, t_from, 
 def test_wave_propagator_conserves_energy(n_cells, steps, t_from, span, seed):
     model = WaveModel(n_cells)
     spec = PropagatorSpec(model, "fine", steps_per_slice=steps)
-    state = StateVector(model.layout(), _random_values(seed, model.layout().size))
-    out = StateVector(state.layout, _propagate_one(spec, state.values, (t_from, t_from + span)))
+    state = _random_values(seed, model.layout().size)
+    out = _propagate_one(spec, state, (t_from, t_from + span))
     assert wave_energy(model, out) == pytest.approx(wave_energy(model, state), rel=1e-11)
 
 
@@ -187,14 +187,14 @@ def test_wave_propagator_conserves_energy(n_cells, steps, t_from, span, seed):
 def test_advection_at_unit_cfl_is_an_exact_shift(n_cells, speed, bc, shift, seed):
     model = AdvectionModel(speed, n_cells, bc, SourceTerm.zero())
     u = _random_values(seed, n_cells)
-    state = StateVector(model.layout(), u)
+    state = u
     for i in range(shift):
         state = grid_step(model, state, i * model.dx, model.dx / speed)
     if bc == "periodic":
         want = np.roll(u, shift)
     else:
         want = np.concatenate((np.zeros(min(shift, n_cells)), u[: max(n_cells - shift, 0)]))
-    assert np.array_equal(state.values, want)
+    assert np.array_equal(state, want)
 
 
 
@@ -255,15 +255,16 @@ def test_stacked_march_equals_per_slice_steps(case, partition, steps, n_cells, s
     size = model.layout().size
     old = np.array([rng.uniform(-1.0, 1.0, size) for _ in range(n_slices + 1)])
     # no row of old is the zero run's reference value, so every slice is propagated
-    config = PararealConfig(TimePartition(0.0, t_end, n_slices), model.zero_state(), spec)
+    config = PararealConfig(TimePartition(0.0, t_end, n_slices), model.zero_state(), spec,
+                            layout=model.layout())
     new, _ = parareal_iterate(old, config, reference_fine_sequential(config))
     lengths = set()
     for n in range(n_slices):
         t_from, t_to = config.partition.slice_bounds(n)
         span = t_to - t_from
         lengths.add(span)
-        want = StateVector(model.layout(), old[n])
+        want = old[n]
         for i in range(steps):
             want = grid_step(model, want, t_from + (i * span) / steps, span / steps)
-        assert new[n + 1].tobytes() == want.values.tobytes(), f"boundary {n + 1}"
+        assert new[n + 1].tobytes() == want.tobytes(), f"boundary {n + 1}"
     assert len(lengths) == (3 if n_slices == 7 else 1)

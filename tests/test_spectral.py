@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pitkit.core import ConfigError, GridLayout, ModeLayout, PropagatorSpec, StateVector, discrete_l2_norm
+from pitkit.core import ConfigError, GridLayout, ModeLayout, PropagatorSpec, discrete_l2_norm
 from pitkit import spectral
 from pitkit.heat import HeatModel
 from pitkit.spectral import (
@@ -92,7 +92,7 @@ def test_single_mode_decay_over_half_slice():
     model = SpectralModel()
     state = model.state_from_modes({1: 1.0}, 4)
     spec = PropagatorSpec(model, "fine", mode_count=4)
-    out = _propagate_one(spec, state.values, (0.0, 0.5))
+    out = _propagate_one(spec, state, (0.0, 0.5))
     assert out[0] == pytest.approx(0.6065306597126334, rel=1e-15)
 
 
@@ -100,7 +100,7 @@ def test_mode_count_zero_returns_zero_state():
     model = SpectralModel()
     state = model.state_from_modes({1: 1.0, 3: 2.0}, 4)
     spec = PropagatorSpec(model, "coarse", mode_count=0)
-    out = _propagate_one(spec, state.values, (0.0, 0.5))
+    out = _propagate_one(spec, state, (0.0, 0.5))
     assert np.array_equal(out, np.zeros(4))
 
 
@@ -108,7 +108,7 @@ def test_truncation_zeroes_tail_modes():
     model = SpectralModel()
     state = model.state_from_modes({1: 1.0, 2: 1.0, 3: 1.0}, 8)
     spec = PropagatorSpec(model, "coarse", mode_count=2)
-    out = _propagate_one(spec, state.values, (0.0, 0.25))
+    out = _propagate_one(spec, state, (0.0, 0.25))
     assert np.array_equal(out[2:], np.zeros(6))
     assert out[1] == pytest.approx(math.exp(-4 * 0.25), rel=1e-14)
 
@@ -117,12 +117,12 @@ def test_fine_propagator_matches_exact_mode_solution_with_source():
     model = SpectralModel(source=ModeSource.pulsed({1: 1.0, 3: -0.5}))
     state = model.state_from_modes({1: 2.0, 2: 1.0, 3: 0.25}, 8)
     spec = PropagatorSpec(model, "fine", mode_count=8)
-    out = _propagate_one(spec, state.values, (0.25, 0.75))
+    out = _propagate_one(spec, state, (0.25, 0.75))
     for position in range(8):
         m = model.mode_index(position)
         want = exact_mode_solution(
             model.decay_rate(m),
-            state.values[position],
+            state[position],
             model.source.mode_function(m),
             0.75,
             t_from=0.25,
@@ -134,7 +134,7 @@ def test_mode_count_beyond_state_rejected():
     model = SpectralModel()
     state = model.zero_state(4)
     with pytest.raises(ConfigError):
-        _propagate_one(PropagatorSpec(model, "fine", mode_count=5), state.values, (0.0, 1.0))
+        _propagate_one(PropagatorSpec(model, "fine", mode_count=5), state, (0.0, 1.0))
 
 
 def test_cosine_basis_keeps_constant_mode():
@@ -142,7 +142,7 @@ def test_cosine_basis_keeps_constant_mode():
     assert model.decay_rate(0) == 0.0
     state = model.state_from_modes({0: 3.0, 2: 1.0}, 4)
     spec = PropagatorSpec(model, "fine", mode_count=5)
-    out = _propagate_one(spec, state.values, (0.0, 1.0))
+    out = _propagate_one(spec, state, (0.0, 1.0))
     assert out[0] == 3.0  # zero mode never decays
     assert out[2] == pytest.approx(math.exp(-(2 * math.pi) ** 2), rel=1e-12)
 
@@ -153,10 +153,9 @@ def test_cosine_basis_keeps_constant_mode():
 def test_project_picks_out_single_sine_mode():
     grid = HeatModel(64, "dirichlet").layout()
     x = np.arange(1, 64) / 64.0
-    state = StateVector(grid, np.sin(np.pi * x))
-    modes = project_to_modes(state, 8)
-    assert modes.values[0] == pytest.approx(1.0, rel=1e-12)
-    assert np.max(np.abs(modes.values[1:])) < 1e-12
+    coeffs = project_to_modes(grid, np.sin(np.pi * x), 8)
+    assert coeffs[0] == pytest.approx(1.0, rel=1e-12)
+    assert np.max(np.abs(coeffs[1:])) < 1e-12
 
 
 def test_roundtrip_on_band_limited_data():
@@ -165,9 +164,8 @@ def test_roundtrip_on_band_limited_data():
     coeffs = rng.normal(size=10)
     x = np.arange(1, 64) / 64.0
     values = sum(c * np.sin((m + 1) * np.pi * x) for m, c in enumerate(coeffs))
-    state = StateVector(grid, values)
-    back = reconstruct(project_to_modes(state, 10), grid)
-    assert np.max(np.abs(back.values - state.values)) < 1e-12
+    back = reconstruct(ModeLayout(10, "sine", 1.0), project_to_modes(grid, values, 10), grid)
+    assert np.max(np.abs(back - values)) < 1e-12
 
 
 def test_roundtrip_cosine_basis():
@@ -176,18 +174,16 @@ def test_roundtrip_cosine_basis():
     x = np.arange(0, 65) / 64.0
     coeffs = rng.normal(size=6)
     values = sum(c * np.cos(m * np.pi * x) for m, c in enumerate(coeffs))
-    state = StateVector(grid, values)
-    modes = project_to_modes(state, 5)
-    assert np.max(np.abs(modes.values - coeffs)) < 1e-12
-    back = reconstruct(modes, grid)
-    assert np.max(np.abs(back.values - state.values)) < 1e-12
+    projected = project_to_modes(grid, values, 5)
+    assert np.max(np.abs(projected - coeffs)) < 1e-12
+    back = reconstruct(ModeLayout(5, "cosine", 1.0), projected, grid)
+    assert np.max(np.abs(back - values)) < 1e-12
 
 
 def test_nyquist_limit_enforced():
     grid = GridLayout(15, 1.0 / 16.0, "dirichlet")
-    state = StateVector(grid, np.zeros(15))
     with pytest.raises(ValueError):
-        project_to_modes(state, 16)
+        project_to_modes(grid, np.zeros(15), 16)
 
 
 def test_parseval_linking_mode_and_grid_norms():
@@ -196,17 +192,17 @@ def test_parseval_linking_mode_and_grid_norms():
     x = np.arange(1, 128) / 128.0
     coeffs = rng.normal(size=5)
     values = sum(c * np.sin((m + 1) * np.pi * x) for m, c in enumerate(coeffs))
-    state = StateVector(grid, values)
-    modes = project_to_modes(state, 5)
-    assert discrete_l2_norm(modes) == pytest.approx(discrete_l2_norm(state), abs=1e-10)
+    coeffs = project_to_modes(grid, values, 5)
+    assert discrete_l2_norm(ModeLayout(5, "sine", 1.0), coeffs) == pytest.approx(
+        discrete_l2_norm(grid, values), abs=1e-10)
 
 
 def test_parseval_norm_frozen_values():
-    assert discrete_l2_norm(StateVector(ModeLayout(3, "sine", math.pi), np.zeros(3))) == 0.0
-    one = StateVector(ModeLayout(1, "sine", math.pi), [1.0])
-    assert discrete_l2_norm(one) == pytest.approx(1.2533141373155003, rel=1e-15)
-    two = StateVector(ModeLayout(2, "sine", math.pi), [1.0, 1.0])
-    assert discrete_l2_norm(two) == pytest.approx(1.7724538509055159, rel=1e-15)
+    assert discrete_l2_norm(ModeLayout(3, "sine", math.pi), np.zeros(3)) == 0.0
+    one = discrete_l2_norm(ModeLayout(1, "sine", math.pi), np.array([1.0]))
+    assert one == pytest.approx(1.2533141373155003, rel=1e-15)
+    two = discrete_l2_norm(ModeLayout(2, "sine", math.pi), np.array([1.0, 1.0]))
+    assert two == pytest.approx(1.7724538509055159, rel=1e-15)
 
 
 def test_mode_decay_rate_is_exactly_m_squared_at_length_pi(monkeypatch):
@@ -226,7 +222,7 @@ def test_mode_decay_rate_is_exactly_m_squared_at_length_pi(monkeypatch):
     # nor keep the recording's zeros for a later one
     spectral._slice_forcing.cache_clear()
     try:
-        _propagate_one(spec, model.zero_state(64).values, (0.0, 0.5))
+        _propagate_one(spec, model.zero_state(64), (0.0, 0.5))
     finally:
         spectral._slice_forcing.cache_clear()
     assert rates[11] == 121.0
@@ -247,7 +243,7 @@ def test_forcing_memo_tells_models_with_one_source_apart(lengths):
     for length in lengths:
         model = SpectralModel(length, "sine", source)
         spec = PropagatorSpec(model, "fine", mode_count=8)
-        got = _propagate_one(spec, model.zero_state(8).values, (0.25, 0.75))
+        got = _propagate_one(spec, model.zero_state(8), (0.25, 0.75))
         rates = model.decay_rate(np.arange(1, 9))
         for position, mode in ((0, 1), (2, 3)):
             want = source_mode_integral(rates[position], source.mode_function(mode), 0.25, 0.75)

@@ -163,7 +163,8 @@ def cmd_factors(args) -> int:
 def cmd_solution_field(args) -> int:
     config = field_preset(args.preset)
     _check_out(args.out)
-    parareal = build_parareal(config)
+    # only the fine run is made, so the coarse spec is not built
+    parareal = build_parareal(replace(config, coarse_role="none"))
     grid_x = parareal.fine.model.grid_x
     lines = [FIELD_HEADER, *_header_lines(config.echo()), "x,t,u"]
     rows = reference_fine_sequential(parareal)

@@ -180,9 +180,9 @@ def propagate_slice(model, spec: PropagatorSpec, states: np.ndarray,
     """Advance each row i of the stack ``states[m, size]`` from t_from[i]
     to t_to[i] with the given model; returns the new stack.
 
-    Each model brings its own ``propagate(spec, states, t_from, t_to)``;
-    the driver only ever calls this entry point, once per stack of slices
-    of equal length.
+    Each model brings its own ``propagate(spec, states, t_from, t_to)``,
+    for rows of any slice lengths; the driver only ever calls this entry
+    point, once per phase of a sweep that propagates anything.
     """
     return model.propagate(spec, states, t_from, t_to)
 

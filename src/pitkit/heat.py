@@ -86,22 +86,23 @@ class GridModel:
     def zero_state(self) -> np.ndarray:
         return np.zeros(self.layout().size)
 
-    def check_spec(self, spec: PropagatorSpec, layout, span: float) -> None:
+    def check_spec(self, spec: PropagatorSpec, layout, partition) -> None:
         """Raise ValueError unless ``layout`` is the model's own, and
-        ConfigError unless ``spec`` crosses a slice of length ``span`` in
-        substeps of positive finite length."""
+        ConfigError unless ``spec`` crosses every slice of ``partition``: the
+        stepper of each slice length is built here, before any propagation."""
         if layout != self.layout():
             raise ValueError(f"state layout {layout} does not fit model {self}")
-        _check_steps(spec, span)
+        for span in set(np.diff(partition.boundaries).tolist()):
+            self._stepper(spec, span)
 
     def propagate(self, spec: PropagatorSpec, states: np.ndarray, t_from, t_to) -> np.ndarray:
         """Advance each row i of the stack states[m, size] from t_from[i]
         to t_to[i] with spec.steps_per_slice equal steps.
 
-        The rows share one stepper, so their substep lengths must agree bit
-        for bit.  Substep times are computed multiplicatively from the slice
-        ends so a sweep over adjacent slices hits exactly the same instants as
-        one long propagate over their union.
+        Rows of bitwise equally long slices share a substep and one stepper,
+        and march as one stack.  Substep times are computed multiplicatively
+        from the slice ends so a sweep over adjacent slices hits exactly the
+        same instants as one long propagate over their union.
         """
         steps = spec.steps_per_slice
         t_from = np.asarray(t_from, dtype=float).tolist()
@@ -109,21 +110,38 @@ class GridModel:
         size = self.layout().size
         if states.shape != (len(t_from), size) or len(t_to) != len(t_from):
             raise ValueError(f"need a stack of {len(t_from)} rows of {size} values, got {states.shape}")
-        spans = [b - a for a, b in zip(t_from, t_to)]
-        if not all(span > 0.0 for span in spans):
-            raise ValueError(f"need t_to > t_from, got [{t_from}, {t_to}]")
-        _check_steps(spec, min(spans))
-        dts = {span / steps for span in spans}
-        if len(dts) != 1:
-            raise ValueError(f"the rows of one stack need one substep length, got {sorted(dts)}")
+        groups: dict[float, list[int]] = {}
+        for i, (a, b) in enumerate(zip(t_from, t_to)):
+            if not b - a > 0.0:
+                raise ValueError(f"need t_to > t_from, got [{a}, {b}]")
+            groups.setdefault(b - a, []).append(i)
+        out = np.empty(states.shape)
+        for span, rows in groups.items():
+            step = self._stepper(spec, span)
+            u = states[rows]
+            for i in range(steps):
+                u = step(u, [t_from[row] + (i * span) / steps for row in rows])
+            out[rows] = u
+        return out
+
+    def _stepper(self, spec: PropagatorSpec, span: float):
+        """The cached step of ``spec`` across a slice of length ``span``.  A
+        count below 1, a substep that is not a positive finite float or the
+        stepper's own rejection raises ``ConfigError("<role>.steps_per_slice: ...")``."""
+        steps = spec.steps_per_slice
         try:
-            step = _cached_stepper(self, dts.pop())
+            if steps < 1:
+                raise ConfigError(f"must be >= 1, got {steps}")
+            try:
+                dt = span / steps
+            except OverflowError:  # a count beyond the float range: the substep rounds to 0
+                dt = 0.0
+            if not 0.0 < dt < math.inf:
+                raise ConfigError(f"the substep of a slice of length {span!r} is {dt!r}, "
+                                  "not a positive finite float")
+            return _cached_stepper(self, dt)
         except ConfigError as exc:
             raise ConfigError(f"{spec.role}.steps_per_slice: {exc}") from None
-        u = states
-        for i in range(steps):
-            u = step(u, [a + (i * span) / steps for a, span in zip(t_from, spans)])
-        return u
 
     def uncovered_rate(self, coarse: PropagatorSpec | None) -> None:
         """Grid models give no analytic error bound."""
@@ -201,21 +219,6 @@ def _check_cells(n_cells: int) -> None:
         raise ValueError(f"n_cells must be at least 2, got {n_cells}")
     if n_cells > MAX_RUN_VALUES:
         raise ValueError(f"n_cells must be at most {MAX_RUN_VALUES}, the most values a run may hold")
-
-
-def _check_steps(spec: PropagatorSpec, span: float) -> None:
-    """Reject a step count below 1, or one whose substep across a slice of
-    length ``span`` is not a positive finite float."""
-    steps = spec.steps_per_slice
-    if steps < 1:
-        raise ConfigError(f"{spec.role}.steps_per_slice: must be >= 1, got {steps}")
-    try:
-        dt = span / steps
-    except OverflowError:  # a count beyond the float range: the substep rounds to 0
-        dt = 0.0
-    if not 0.0 < dt < math.inf:
-        raise ConfigError(f"{spec.role}.steps_per_slice: the substep of a slice of length "
-                          f"{span!r} is {dt!r}, not a positive finite float")
 
 
 def conserved_mean(model: HeatModel, values: np.ndarray) -> float:
@@ -364,7 +367,10 @@ def thomas_solve(system: TridiagonalSystem, rhs: np.ndarray) -> np.ndarray:
 
 
 def identity_minus(lap: TridiagonalSystem, c: float) -> TridiagonalSystem:
-    """Matrix I - c*L of an implicit step with operator L."""
+    """Matrix I - c*L of an implicit step with operator L; ConfigError when
+    c*L overflows, as it does for a long enough substep."""
+    if not np.isfinite(c * float(np.abs(lap.diag).max())):
+        raise ConfigError(f"the implicit step's {c:.6g} * L overflows; shrink the substep")
     return TridiagonalSystem(-c * lap.sub, 1.0 - c * lap.diag, -c * lap.sup)
 
 

@@ -53,8 +53,8 @@ def check_boundary_size(n_slices: int, size: int) -> None:
 class PararealConfig:
     """One parareal run from ``u0``, kept as a read-only copy of one state
     of ``layout``.  Each spec's model answers for its own states:
-    ``model.check_spec(spec, layout, span)`` raises when states of
-    ``layout`` cannot cross slices of length ``span`` through ``spec``.
+    ``model.check_spec(spec, layout, partition)`` raises when states of
+    ``layout`` cannot cross the slices of ``partition`` through ``spec``.
     ``coarse`` is None when there is no coarse propagator."""
 
     partition: TimePartition
@@ -83,15 +83,14 @@ class PararealConfig:
         if self.fine.role != "fine":
             raise ConfigError(f"fine propagator has role {self.fine.role!r}")
         # propagators see raw value stacks, not layouts, so the layout the
-        # run's rows share is checked here, once, against both specs, as is
-        # the shortest slice, whose substeps are the shortest of the run
-        span = float(np.diff(self.partition.boundaries).min())
-        self.fine.model.check_spec(self.fine, self.layout, span)
+        # run's rows share is checked here, once, against both specs, as are
+        # the partition's slices
+        self.fine.model.check_spec(self.fine, self.layout, self.partition)
         coarse = self.coarse
         if coarse is not None:
             if coarse.role != "coarse":
                 raise ConfigError(f"coarse propagator has role {coarse.role!r}")
-            coarse.model.check_spec(coarse, self.layout, span)
+            coarse.model.check_spec(coarse, self.layout, self.partition)
         if self.initial_guess not in GUESS_KINDS:
             raise ConfigError(
                 f"unknown initial_guess {self.initial_guess!r}, expected one of {GUESS_KINDS}"
@@ -111,19 +110,13 @@ class PararealConfig:
 def _propagate(config: PararealConfig, spec: PropagatorSpec,
                values: np.ndarray, slices: Sequence[int]) -> np.ndarray:
     """Advance the boundary value ``values[n]`` across slice n with the
-    given propagator for each n in ``slices``; row i of the result is the
-    end value of slice ``slices[i]``.  Slices of bitwise the same length
-    share a substep length, and so one stacked ``propagate_slice`` call; a
-    length that differs in any bit gets a stack of its own."""
-    stacks: dict[float, list[tuple[int, int, float, float]]] = {}
-    for i, n in enumerate(slices):
-        t0, t1 = config.partition.slice_bounds(n)
-        stacks.setdefault(t1 - t0, []).append((i, n, t0, t1))
-    out = np.empty((len(slices), values.shape[1]))
-    for group in stacks.values():
-        index, inputs, t_from, t_to = zip(*group)
-        out[list(index)] = propagate_slice(spec.model, spec, values[list(inputs)], t_from, t_to)
-    return out
+    given propagator for each n in ``slices``, in one ``propagate_slice``
+    call (none for no slices); row i of the result is the end value of
+    slice ``slices[i]``."""
+    if not slices:
+        return np.empty((0, values.shape[1]))
+    t_from, t_to = zip(*map(config.partition.slice_bounds, slices))
+    return propagate_slice(spec.model, spec, values[list(slices)], t_from, t_to)
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -176,9 +169,8 @@ def parareal_iterate(old: np.ndarray, config: PararealConfig, reference: np.ndar
                      ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """One sweep from boundary values U^k to U^{k+1}, each an (N+1, size)
     array: the fine solves from the old values, each depending only on its
-    own slice and input, so they run as one stacked call per slice length;
-    then the in-order coarse correction (or a plain copy-forward without a
-    coarse propagator).
+    own slice and input, so they run as one stacked call; then the in-order
+    coarse correction (or a plain copy-forward without a coarse propagator).
 
     Returns a fresh read-only U^{k+1} and the coarse values G(U^{k+1}_n) of
     slices 0..N-1, which the next sweep takes as ``g_old``; the coarse

@@ -136,11 +136,14 @@ class SpectralModel:
             values[position] = a
         return values
 
-    def check_spec(self, spec: PropagatorSpec, layout, span: float) -> None:
+    def check_spec(self, spec: PropagatorSpec, layout, partition) -> None:
         """Raise ValueError unless ``layout`` holds modes of the model's basis
         on its interval, all with finite decay rates, and ``spec`` fits it: a
         fine spec advances every value, a coarse one fewer but at least one.
-        Each slice is integrated exactly, whatever its length ``span``."""
+        Raise ConfigError when a source integral over the longest slice of
+        ``partition`` needs more quadrature nodes than a run may hold: under
+        ``partition.t_end`` if it would for any mode, else under
+        ``model.length``, for the fastest forced mode the spec keeps."""
         if not isinstance(layout, ModeLayout) or layout.basis != self.basis or layout.length != self.length:
             raise ValueError(f"state layout {layout} does not fit model {self}")
         top = self.mode_index(layout.size - 1)
@@ -155,6 +158,15 @@ class SpectralModel:
             raise ConfigError("coarse propagator must resolve fewer modes than the fine one, and at "
                               "least one (pass coarse=None for no coarse propagator), got "
                               f"mode_count {spec.mode_count} of {layout.size}")
+        forced = _forced_positions(self, spec.mode_count)
+        if forced:
+            t0, t1 = partition.slice_bounds(int(np.diff(partition.boundaries).argmax()))
+            fastest = float(_kept_rates(self, forced[-1] + 1)[-1])
+            for key, rate in (("partition.t_end", 0.0), ("model.length", fastest)):
+                try:
+                    _quadrature_panels(rate, t0, t1)
+                except ConfigError as exc:
+                    raise ConfigError(f"{key}: {exc}") from None
 
     def propagate(self, spec: PropagatorSpec, states: np.ndarray, t_from, t_to) -> np.ndarray:
         """Advance the first spec.mode_count modes of each row i of the stack
@@ -201,11 +213,7 @@ def source_mode_integral(rate: float, source_fn: Optional[Callable], t_from: flo
     if source_fn is None or t_to == t_from:
         return 0.0
     span = t_to - t_from
-    panels = max(8.0, span / 0.01, span * rate / 8.0)
-    if 16 * panels > MAX_RUN_VALUES:
-        raise ConfigError(f"a source integral over [{t_from}, {t_to}] needs {16 * panels:.3g} "
-                          f"quadrature nodes, above the limit of {MAX_RUN_VALUES} a run may hold")
-    n_panels = math.ceil(panels)
+    n_panels = math.ceil(_quadrature_panels(rate, t_from, t_to))
     edges = t_from + span * np.arange(n_panels + 1) / n_panels
     half = 0.5 * span / n_panels
     centers = 0.5 * (edges[:-1] + edges[1:])
@@ -213,6 +221,17 @@ def source_mode_integral(rate: float, source_fn: Optional[Callable], t_from: flo
     taus = centers[:, None] + half * _GAUSS_NODES[None, :]
     integrand = source_fn(taus) * np.exp(-rate * (t_to - taus))
     return float(half * np.sum(integrand @ _GAUSS_WEIGHTS))
+
+
+def _quadrature_panels(rate: float, t_from: float, t_to: float) -> float:
+    """The panel count of ``source_mode_integral`` over [t_from, t_to],
+    before rounding up; ConfigError when its nodes exceed MAX_RUN_VALUES."""
+    span = t_to - t_from
+    panels = max(8.0, span / 0.01, span * rate / 8.0)
+    if 16 * panels > MAX_RUN_VALUES:
+        raise ConfigError(f"a source integral over [{t_from}, {t_to}] needs {16 * panels:.3g} "
+                          f"quadrature nodes, above the limit of {MAX_RUN_VALUES} a run may hold")
+    return panels
 
 
 def exact_mode_solution(rate: float, u0: float, source_fn: Optional[Callable],

@@ -1,5 +1,6 @@
 import filecmp
 import math
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -354,10 +355,17 @@ _BAD_RUN_CONFIGS = {
                               "run.iterations: max_iterations 1000000000000: a trace"),
     "spectral-quadrature-past-limit-long-slice": (
         "[model]\nkind = spectral\n[source]\nkind = pulsed\nmodes = 1:1.0\n"
-        "[partition]\nt_end = 1e300\nn_slices = 1\n", "quadrature nodes, above the limit of 4194304"),
+        "[partition]\nt_end = 1e300\nn_slices = 1\n",
+        "partition.t_end: a source integral over [0.0, 1e+300] needs 1.6e+303 quadrature nodes"),
     "spectral-quadrature-past-limit-fast-mode": (
         "[model]\nkind = spectral\nlength = 1e-100\n[source]\nkind = pulsed\nmodes = 1:1.0\n"
-        "[partition]\nn_slices = 1\n", "quadrature nodes, above the limit of 4194304"),
+        "[partition]\nn_slices = 1\n", "model.length: a source integral over [0.0, 3.0] needs"),
+    "spectral-quadrature-past-limit-forced-modes": (
+        "[model]\nkind = spectral\n[source]\nkind = pulsed\nmodes = 1:1.0 3:0.5\n"
+        "[partition]\nt_end = 1e154\n", "partition.t_end: a source integral over"),
+    # one slice so long that dt * L overflows in the implicit step's matrix
+    "heat-implicit-step-overflow": ("[partition]\nt_end = 1e306\nn_slices = 1\n",
+                                    "fine.steps_per_slice: the implicit step's 1.66667e+305 * L overflows"),
     # the top mode's decay rate overflows; checked before the reference run
     "spectral-length-past-rate-limit": (
         "[model]\nkind = spectral\nlength = 1e-300\n[source]\nkind = zero\n",
@@ -379,19 +387,32 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys, name):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("role", ["fine", "coarse"])
-def test_zero_steps_exit_2_before_any_propagation(tmp_path, capsys, monkeypatch, role):
-    """A step count of 0 is rejected while the config is built, not after
-    the reference run has propagated every slice."""
+# name -> (config document, the full message); each is rejected while the
+# config is built, not after the reference run has propagated every slice
+_SETUP_REJECTIONS = {
+    "fine": ("[fine]\nsteps_per_slice = 0\n", "fine.steps_per_slice: must be >= 1, got 0"),
+    "coarse": ("[coarse]\nsteps_per_slice = 0\n", "coarse.steps_per_slice: must be >= 1, got 0"),
+    # the default single coarse step makes CFL number 8 on 128 cells and 48 slices
+    "advection-coarse-cfl": ("[model]\nkind = advection\nbc = periodic\n[source]\nkind = zero\n"
+                             "[fine]\nsteps_per_slice = 8\n",
+                             "coarse.steps_per_slice: CFL number 8 exceeds 1; shrink dt or the speed"),
+}
+
+
+@pytest.mark.parametrize("name", list(_SETUP_REJECTIONS))
+def test_zero_steps_exit_2_before_any_propagation(tmp_path, capsys, monkeypatch, name):
+    """A step count the grid march cannot take, 0 or one above the CFL
+    limit, exits 2 from the setup check, before any propagation."""
+    text, message = _SETUP_REJECTIONS[name]
     calls = []
     propagate = parareal.propagate_slice
     monkeypatch.setattr(parareal, "propagate_slice", lambda *args: calls.append(args) or propagate(*args))
     cfg = tmp_path / "exp.ini"
-    cfg.write_text(f"[{role}]\nsteps_per_slice = 0\n")
-    with pytest.raises(ConfigError, match=f"^{role}.steps_per_slice: must be >= 1, got 0$"):
+    cfg.write_text(text)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         build_parareal(load_config(str(cfg)))
     assert main(["run", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err == f"error: {role}.steps_per_slice: must be >= 1, got 0\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert calls == []
 
 
@@ -584,7 +605,7 @@ def test_field_periodic_advection_conserves_injected_mass(tmp_path):
     field = _field(out)
     final_sum = sum(field[3.0])
 
-    model = build_parareal(field_preset("advection-periodic")).fine.model
+    model = build_parareal(replace(field_preset("advection-periodic"), coarse_role="none")).fine.model
     n_steps = 48 * 8
     dt = 3.0 / n_steps
     injected = 0.0

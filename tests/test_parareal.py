@@ -466,7 +466,7 @@ def test_u0_that_does_not_fit_the_model_is_rejected():
 class _NanAfterOne:
     """Identity propagator that returns NaN for slices ending after t = 1."""
 
-    def check_spec(self, spec, layout, span):
+    def check_spec(self, spec, layout, partition):
         pass
 
     def propagate(self, spec, states, t_from, t_to):
@@ -484,8 +484,10 @@ class _CoarseGrid:
     fine = HeatModel(32, "dirichlet", SourceTerm.pulsed())
     coarse = HeatModel(16, "dirichlet", SourceTerm.pulsed())
 
-    def check_spec(self, spec, layout, span):
-        return self.fine.check_spec(spec, layout, span)
+    def check_spec(self, spec, layout, partition):
+        # the rows are the fine model's; the steps are taken on the coarse grid
+        self.fine.check_spec(spec, layout, partition)
+        self.coarse.check_spec(spec, self.coarse.layout(), partition)
 
     def propagate(self, spec, states, t_from, t_to):
         # fine unknown j sits at x = (j + 1)/32, so the odd j form the coarse grid
@@ -583,21 +585,27 @@ def test_heat_without_coarse_errors_never_grow():
 # ------------------------------------------------------------------ cost
 
 
-@pytest.mark.parametrize("guess, coarse, max_iterations", [
-    ("coarse_sweep", True, 4),
-    ("zero", True, 4),
-    ("replicate_u0", True, 4),
-    ("random", True, 4),
-    ("replicate_u0", False, 9),
-])
-def test_run_propagates_only_unlocked_inputs(monkeypatch, guess, coarse, max_iterations):
+_UNLOCK_CASES = [  # guess, coarse, max_iterations, n_slices, t_end
+    ("coarse_sweep", True, 4, 6, 3.0),
+    ("zero", True, 4, 6, 3.0),
+    ("replicate_u0", True, 4, 6, 3.0),
+    ("random", True, 4, 6, 3.0),
+    ("replicate_u0", False, 9, 6, 3.0),
+    # 1/7 is no binary fraction: the slices have three bitwise lengths
+    ("coarse_sweep", True, 6, 7, 1.0),
+]
+
+
+@pytest.mark.parametrize("guess, coarse, max_iterations, n_slices, t_end", _UNLOCK_CASES,
+                         ids=[f"{g}-{c}-{k}" + ("" if n == 6 else f"-N{n}") for g, c, k, n, _ in _UNLOCK_CASES])
+def test_run_propagates_only_unlocked_inputs(monkeypatch, guess, coarse, max_iterations, n_slices, t_end):
     """After k - 1 sweeps inputs 0..k-1 are locked, so sweep k propagates
     only the other max(N - k, 0): a locked input's F is the reference's
     next value and an unchanged input's G is the last sweep's.  A run makes
     N + sum_k max(N - k, 0) fine propagations, the sequential reference
-    included, and as many coarse ones; sweeps with k >= N make none.  The
-    slices are equally long, so each sweep stacks its fine propagations
-    into one call."""
+    included, and as many coarse ones; sweeps with k >= N make none.  Each
+    sweep stacks its fine propagations into one call, whatever the slice
+    lengths."""
     calls = {"fine": 0, "coarse": 0}
     stacks = {"fine": 0, "coarse": 0}
     propagate = parareal.propagate_slice
@@ -608,7 +616,8 @@ def test_run_propagates_only_unlocked_inputs(monkeypatch, guess, coarse, max_ite
         return propagate(model, spec, states, t0, t1)
 
     monkeypatch.setattr(parareal, "propagate_slice", counting)
-    config = _heat_config(n_slices=6, guess=guess, coarse=coarse, max_iterations=max_iterations)
+    config = _heat_config(n_slices=n_slices, guess=guess, coarse=coarse, max_iterations=max_iterations,
+                          partition=TimePartition(0.0, t_end, n_slices))
     after_sweep = []
     trace = run(config, on_iteration=lambda k, values: after_sweep.append(dict(calls)))
     n = config.partition.n_slices

@@ -218,9 +218,9 @@ def test_stacked_thomas_solve_equals_row_by_row(n_cells, bc, dt, width, seed):
 
 
 # (n_slices, t_end) of the stacked-march property: 1/7 is no binary
-# fraction, so slice lengths differ in the last bit and split into several
-# stacks; n/16 gives slices of exactly 1/16, one stack on each side of the
-# width threshold
+# fraction, so slice lengths differ in the last bit and the march splits
+# its one stack into several groups; n/16 gives slices of exactly 1/16, one
+# group on each side of the width threshold
 _MARCH_PARTITIONS = [(7, 1.0)] + [
     (n, n / 16) for n in (STACKED_SOLVE_MIN_ROWS - 1, STACKED_SOLVE_MIN_ROWS, 2 * STACKED_SOLVE_MIN_ROWS)]
 
@@ -245,9 +245,10 @@ def _march_model(case, n_cells, cells_per_step):
 @given(partition=st.sampled_from(_MARCH_PARTITIONS), steps=st.integers(1, 3),
        n_cells=st.integers(2, 16), seed=st.integers(0, 2**16))
 def test_stacked_march_equals_per_slice_steps(case, partition, steps, n_cells, seed):
-    """A sweep propagates all its slices in stacks, one per slice length;
-    every boundary gets the bits of stepping its slice alone with
-    ``grid_step``, which builds a fresh stepper for every step."""
+    """A sweep propagates all its slices in one call, which the grid march
+    groups by slice length; every boundary gets the bits of stepping its
+    slice alone with ``grid_step``, which builds a fresh stepper for every
+    step."""
     n_slices, t_end = partition
     model = _march_model(case, n_cells, round(steps * n_slices / t_end))
     spec = PropagatorSpec(model, "fine", steps_per_slice=steps)

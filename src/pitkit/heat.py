@@ -126,8 +126,9 @@ class GridModel:
 
     def _stepper(self, spec: PropagatorSpec, span: float):
         """The cached step of ``spec`` across a slice of length ``span``.  A
-        count below 1, a substep that is not a positive finite float or the
-        stepper's own rejection raises ``ConfigError("<role>.steps_per_slice: ...")``."""
+        count below 1, a substep that is not a positive finite float, an
+        implicit matrix that is singular in floats or the stepper's own
+        rejection raises ``ConfigError("<role>.steps_per_slice: ...")``."""
         steps = spec.steps_per_slice
         try:
             if steps < 1:
@@ -142,6 +143,9 @@ class GridModel:
             return _cached_stepper(self, dt)
         except ConfigError as exc:
             raise ConfigError(f"{spec.role}.steps_per_slice: {exc}") from None
+        except SingularSystemError as exc:  # decided by the model and the substep alone
+            raise ConfigError(f"{spec.role}.steps_per_slice: the implicit step's matrix is singular "
+                              f"in floats ({exc}); shrink the substep") from None
 
     def uncovered_rate(self, coarse: PropagatorSpec | None) -> None:
         """Grid models give no analytic error bound."""

@@ -396,13 +396,18 @@ _SETUP_REJECTIONS = {
     "advection-coarse-cfl": ("[model]\nkind = advection\nbc = periodic\n[source]\nkind = zero\n"
                              "[fine]\nsteps_per_slice = 8\n",
                              "coarse.steps_per_slice: CFL number 8 exceeds 1; shrink dt or the speed"),
+    # 1 + c*2/dx^2 rounds away the identity, so the Neumann matrix I - c*L is singular
+    "heat-neumann-singular-step": ("[model]\nbc = neumann\n[partition]\nt_end = 1e154\n",
+                                   "fine.steps_per_slice: the implicit step's matrix is singular in "
+                                   "floats (zero pivot in row 128); shrink the substep"),
 }
 
 
 @pytest.mark.parametrize("name", list(_SETUP_REJECTIONS))
 def test_zero_steps_exit_2_before_any_propagation(tmp_path, capsys, monkeypatch, name):
-    """A step count the grid march cannot take, 0 or one above the CFL
-    limit, exits 2 from the setup check, before any propagation."""
+    """A step count the grid march cannot take (0, one above the CFL limit,
+    or one whose implicit matrix is singular in floats) exits 2 from the
+    setup check, before any propagation."""
     text, message = _SETUP_REJECTIONS[name]
     calls = []
     propagate = parareal.propagate_slice

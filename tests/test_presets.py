@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from pitkit.core import ConfigError, NumericalError, PropagatorSpec
+from pitkit.core import ConfigError, PropagatorSpec
 from pitkit.heat import HeatModel, SourceTerm
 from pitkit.hyperbolic import WaveModel
 from pitkit.presets import (
@@ -114,7 +114,9 @@ _SWEPT_MODELS = {
     "heat-dirichlet": {"model.kind": "heat", "model.bc": "dirichlet"},
     "heat-neumann": {"model.kind": "heat", "model.bc": "neumann"},
     "wave": {"model.kind": "wave", "source.kind": "zero"},
-    "advection-periodic": {"model.kind": "advection", "model.bc": "periodic"},
+    # 8 steps per slice make CFL number 1 on the default 128 cells and 48 slices
+    "advection-periodic": {"model.kind": "advection", "model.bc": "periodic",
+                           "fine.steps_per_slice": 8, "coarse.steps_per_slice": 8},
     "spectral": {"model.kind": "spectral"},
     "spectral-pulsed": {"model.kind": "spectral", "source.kind": "pulsed", "source.modes": "1:1.0 3:0.5"},
 }
@@ -131,10 +133,7 @@ _SWEEPS = [pytest.param(int, model, id=model) for model in list(_SWEPT_MODELS)[:
 def test_every_int_key_builds_or_raises_config_error(tmp_path, kind, model):
     """Each int (or float) key of the schema, set alone to each of a few
     small, large and overflowing values, either builds or raises
-    ConfigError or NumericalError, which the CLI reports with exit 2 and 3:
-    never another exception.  Setup builds the grid steppers, so a substep
-    whose implicit matrix is singular in floats fails there, as
-    ``partition.t_end = 1e154`` does on the Neumann heat grid."""
+    ConfigError: never another exception."""
     cfg = tmp_path / "exp.ini"
     failures = []
     keys = [key for key, (_, key_kind) in _SCHEMA.items() if key_kind is kind]
@@ -147,7 +146,7 @@ def test_every_int_key_builds_or_raises_config_error(tmp_path, kind, model):
         cfg.write_text("".join(f"[{section}]\n" + "".join(lines) for section, lines in sections.items()))
         try:
             build_parareal(load_config(str(cfg)))
-        except (ConfigError, NumericalError):
+        except ConfigError:
             pass
         except Exception as exc:
             failures.append(f"{key} = {label}: {type(exc).__name__}: {exc}")

@@ -178,7 +178,8 @@ def cmd_presets(args) -> int:
     lines = ["experiment presets (run --preset NAME):"]
     for name in experiment_preset_names():
         c = experiment_preset(name)
-        shape = f"N={c.n_slices}, K={c.iterations}, coarse={c.coarse_role}"
+        coarse = "none" if build_parareal(c).coarse is None else "coarse"
+        shape = f"N={c.n_slices}, K={c.iterations}, coarse={coarse}"
         lines.append(f"  {name:24s} {c.model_kind} ({c.bc if c.model_kind != 'spectral' else c.basis}), {shape}")
     lines.append("solution-field presets (solution-field --preset NAME):")
     for name in field_preset_names():

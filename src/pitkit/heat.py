@@ -63,12 +63,15 @@ class SourceTerm:
     def time_profile(self, t: float) -> float:
         if self.kind == "zero":
             return 0.0
+        total = 0.0
         try:
-            return float(sum(math.exp(-TIME_DECAY * (t - tj) ** 2) for tj in PULSE_TIMES))
+            for tj in PULSE_TIMES:
+                total += math.exp(-TIME_DECAY * (t - tj) ** 2)
         except OverflowError:
             # (t - tj) ** 2 overflows only for |t| above 1e154, where t - tj
             # rounds to t for every pulse time, so every pulse adds 0.0
             return 0.0
+        return total
 
     @property
     def is_zero(self) -> bool:
@@ -100,9 +103,13 @@ class GridModel:
         to t_to[i] with spec.steps_per_slice equal steps.
 
         Rows of bitwise equally long slices share a substep and one stepper,
-        and march as one stack.  Substep times are computed multiplicatively
-        from the slice ends so a sweep over adjacent slices hits exactly the
-        same instants as one long propagate over their union.
+        and march as one group.  A group narrower than
+        STACKED_SOLVE_MIN_ROWS whose stepper has a row form marches each
+        row alone as a list of Python floats, across all its substeps; any
+        other group marches as one stack.  Both give the same bits.
+        Substep times are computed multiplicatively from the slice ends so
+        a sweep over adjacent slices hits exactly the same instants as one
+        long propagate over their union.
         """
         steps = spec.steps_per_slice
         t_from = np.asarray(t_from, dtype=float).tolist()
@@ -117,7 +124,14 @@ class GridModel:
             groups.setdefault(b - a, []).append(i)
         out = np.empty(states.shape)
         for span, rows in groups.items():
-            step = self._stepper(spec, span)
+            step, row_step = self._stepper(spec, span)
+            if row_step is not None and len(rows) < STACKED_SOLVE_MIN_ROWS:
+                for row in rows:
+                    y, t = states[row].tolist(), t_from[row]
+                    for i in range(steps):
+                        row_step(y, t + (i * span) / steps)
+                    out[row] = y
+                continue
             u = states[rows]
             for i in range(steps):
                 u = step(u, [t_from[row] + (i * span) / steps for row in rows])
@@ -125,7 +139,8 @@ class GridModel:
         return out
 
     def _stepper(self, spec: PropagatorSpec, span: float):
-        """The cached step of ``spec`` across a slice of length ``span``.  A
+        """The cached steps of ``spec`` across a slice of length ``span``, as
+        ``model.stepper`` returns them.  A
         count below 1, a substep that is not a positive finite float, an
         implicit matrix that is singular in floats or the stepper's own
         rejection raises ``ConfigError("<role>.steps_per_slice: ...")``."""
@@ -198,10 +213,12 @@ class HeatModel(GridModel):
         return TridiagonalSystem(sub, diag, sup)
 
     def stepper(self, dt: float):
-        """Backward Euler step (I - dt*L) u_new = u + dt*f(., t + dt) on a
+        """Backward Euler step (I - dt*L) u_new = u + dt*f(., t + dt), with
+        its factor and source profile built here once, in two forms: on a
         stack u[m, n] of value arrays whose row i starts at time t[i] (a
-        list of floats), with its factor and source profile built here
-        once.
+        list of floats), and in place on one row y held as a list of floats
+        that starts at time t.  Both do the same operations in the same
+        order, so they give the same bits.
 
         The source is sampled at the step end, which is the consistent
         choice for the implicit scheme.
@@ -214,7 +231,13 @@ class HeatModel(GridModel):
                 pulses = np.array([source.time_profile(s + dt) for s in t])
                 u = u + dt * (profile * pulses[:, None])
             return factor.solve(u)
-        return step
+
+        def row_step(y: list[float], t: float) -> None:
+            shift = None
+            if profile is not None:
+                shift = (dt * (profile * source.time_profile(t + dt))).tolist()
+            factor.solve_row(y, shift)
+        return step, row_step
 
 
 def _check_cells(n_cells: int) -> None:
@@ -286,11 +309,13 @@ class TridiagonalSystem:
 
 # Stacks of at least this many right-hand sides are solved by one numpy
 # sweep down the unknowns for all rows at once, narrower ones row by row in
-# Python floats.  Both do the same operations in the same order, so they
-# give the same bits.  At n = 127 (2-vCPU host, Python 3.11, numpy 2.4,
-# pinned to one CPU) a row costs about 37 us and the stacked sweep about
-# 680 us whatever the width, so the two cross over at about 18 rows; an
-# earlier measurement (28 and 400 us) put it at 14.
+# Python floats by ``_ThomasFactor.solve_row``; a narrower heat group also
+# marches each row in Python floats across all of its substeps.  Both do
+# the same operations in the same order, so they give the same bits.
+# At n = 127 (2-vCPU host, Python 3.11, numpy 2.4, pinned to one CPU) a
+# pulsed heat substep costs about 17-19 us per row marched in floats, and
+# about 320-360 us as one stacked step whatever the width, so the two cross
+# over at about 18-20 rows.
 STACKED_SOLVE_MIN_ROWS = 16
 
 
@@ -317,6 +342,9 @@ class _ThomasFactor:
         self.lower = tuple(lower)
         self.pivot = tuple(pivot)
         self.sup = tuple(sup)
+        # the (index, lower) and (index, sup, pivot) steps of solve_row
+        self._forward = tuple(zip(range(1, n), lower))
+        self._backward = tuple(zip(range(n - 2, -1, -1), sup[::-1], pivot[-2::-1]))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for one right-hand side rhs[n] or for each row of a stack
@@ -327,17 +355,26 @@ class _ThomasFactor:
             raise ValueError(f"rhs of shape {rhs.shape} does not match system size {n}")
         if rhs.ndim == 2 and len(rhs) >= STACKED_SOLVE_MIN_ROWS:
             return self._solve_stack(rhs)
-        lower = self.lower
-        pivot = self.pivot
-        sup = self.sup
         rows = rhs.reshape(-1, n).tolist()
         for y in rows:
-            for i in range(1, n):
-                y[i] -= lower[i - 1] * y[i - 1]
-            y[n - 1] /= pivot[n - 1]
-            for i in range(n - 2, -1, -1):
-                y[i] = (y[i] - sup[i] * y[i + 1]) / pivot[i]
+            self.solve_row(y)
         return np.array(rows).reshape(rhs.shape)
+
+    def solve_row(self, y: list[float], shift: list[float] | None = None) -> None:
+        """Overwrite the list of floats y with the solution for right-hand
+        side y, or y + shift when a shift row is given; the shift is added
+        in the forward sweep, each sum before its elimination step."""
+        if shift is None:
+            prev = y[0]
+            for i, lower in self._forward:
+                prev = y[i] = y[i] - lower * prev
+        else:
+            prev = y[0] = y[0] + shift[0]
+            for i, lower in self._forward:
+                prev = y[i] = (y[i] + shift[i]) - lower * prev
+        prev = y[-1] = prev / self.pivot[-1]
+        for i, sup, pivot in self._backward:
+            prev = y[i] = (y[i] - sup * prev) / pivot
 
     def _solve_stack(self, rows: np.ndarray) -> np.ndarray:
         # y[i] holds unknown i of every row, so each step of the row loop
@@ -399,12 +436,13 @@ def grid_step(model, values: np.ndarray, t: float, dt: float) -> np.ndarray:
     """One step of a grid model's scheme from t to t + dt.  Builds its own
     stepper, so it is the reference the cached ``GridModel.propagate``
     march is checked against."""
-    return model.stepper(dt)(values[None], [t])[0]
+    step, _ = model.stepper(dt)
+    return step(values[None], [t])[0]
 
 
 @functools.lru_cache(maxsize=64)
 def _cached_stepper(model, dt: float):
-    """A grid model's step with substep dt, shared by every propagation of
+    """A grid model's steps with substep dt, shared by every propagation of
     the model with that substep."""
     return model.stepper(dt)
 

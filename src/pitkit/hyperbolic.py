@@ -59,7 +59,8 @@ class AdvectionModel(GridModel):
         """Upwind step u_j <- u_j - nu*(u_j - u_{j-1}) + dt*f(x_j, t) on a
         stack u[m, n] of value arrays whose row i starts at time t[i], with
         nu = speed*dt/dx, which must not exceed 1; at nu = 1 the step is an
-        exact shift by one cell."""
+        exact shift by one cell.  There is no row form: the step comes
+        with None in its place."""
         nu = self.speed * dt / self.dx
         if nu > 1.0 + 1e-12:
             raise ConfigError(f"CFL number {nu:.6g} exceeds 1; shrink dt or the speed")
@@ -77,7 +78,7 @@ class AdvectionModel(GridModel):
                 pulses = np.array([source.time_profile(s) for s in t])
                 new = new + dt * (profile * pulses[:, None])
             return new
-        return step
+        return step, None
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,8 @@ class WaveModel(GridModel):
 
     def stepper(self, dt: float):
         """Trapezoidal step of the first-order system on a stack w[m, 2n]
-        of (u, v) value arrays, with I - dt^2/4 L factored here once.
+        of (u, v) value arrays, with I - dt^2/4 L factored here once, and
+        None for a row form.
 
         For this linear system the trapezoidal rule coincides with the
         implicit midpoint rule, so the quadratic energy below is conserved
@@ -132,7 +134,7 @@ class WaveModel(GridModel):
             v_new = factor.solve(q + 0.5 * dt * lap.matvec(p))
             u_new = p + 0.5 * dt * v_new
             return np.concatenate([u_new, v_new], axis=1)
-        return step
+        return step, None
 
 
 def wave_energy(model: WaveModel, values: np.ndarray) -> float:

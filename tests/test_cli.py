@@ -95,6 +95,17 @@ def test_presets_lists_every_name(capsys):
         assert name in out
 
 
+def test_presets_show_no_coarse_exactly_when_the_built_run_has_none(capsys):
+    """spectral-mG0 keeps coarse.role = coarse but zero coarse modes, so its
+    built run has no coarse propagator and is listed as coarse=none."""
+    assert main(["presets"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name in experiment_preset_names():
+        (line,) = [ln for ln in lines if ln.split()[:1] == [name]]
+        assert ("coarse=none" in line) == (build_parareal(experiment_preset(name)).coarse is None), line
+    assert "coarse=none" in next(ln for ln in lines if "spectral-mG0" in ln)
+
+
 def test_default_run_is_the_dirichlet_preset_shape(tmp_path):
     out = tmp_path / "trace.csv"
     assert main(["run", "--iterations", "1", "--out", str(out)]) == 0

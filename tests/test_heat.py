@@ -146,6 +146,44 @@ def test_propagate_equals_uncached_step_loop_bitwise(case):
             assert np.array_equal(got, want)
 
 
+# (model, group width) -> the calls of one 3-step march, as
+# (solve_row, solve, _solve_stack) counts
+_FORM_CASES = {
+    "narrow-heat": (HeatModel(16, "dirichlet", SourceTerm.pulsed()), heat.STACKED_SOLVE_MIN_ROWS - 1,
+                    (3 * (heat.STACKED_SOLVE_MIN_ROWS - 1), 0, 0)),
+    "wide-heat": (HeatModel(16, "neumann", SourceTerm.pulsed()), heat.STACKED_SOLVE_MIN_ROWS, (0, 3, 3)),
+    "narrow-wave": (WaveModel(16), 2, (6, 3, 0)),
+    "wide-wave": (WaveModel(16), heat.STACKED_SOLVE_MIN_ROWS, (0, 3, 3)),
+}
+
+
+@pytest.mark.parametrize("case", list(_FORM_CASES))
+def test_march_form_follows_group_width(monkeypatch, case):
+    """A heat group narrower than STACKED_SOLVE_MIN_ROWS marches each row in
+    Python floats and never enters the array solve; a wide heat group takes
+    the stacked sweep once per substep; the wave keeps its array step, whose
+    solve picks the method by width."""
+    model, width, want = _FORM_CASES[case]
+    calls = {"solve_row": 0, "solve": 0, "_solve_stack": 0}
+
+    def counting(name):
+        method = getattr(heat._ThomasFactor, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(heat._ThomasFactor, name, counting(name))
+    heat._cached_stepper.cache_clear()
+    spec = PropagatorSpec(model, "fine", steps_per_slice=3)
+    states = np.random.default_rng(5).normal(size=(width, model.layout().size))
+    t_from = [0.25 * i for i in range(width)]
+    model.propagate(spec, states, t_from, [t + 0.25 for t in t_from])
+    assert (calls["solve_row"], calls["solve"], calls["_solve_stack"]) == want
+
+
 def test_propagate_validates_inputs():
     model = HeatModel(16, "dirichlet")
     state = model.zero_state()

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from pitkit.cli import main
 from pitkit.core import ConfigError, PropagatorSpec
 from pitkit.heat import HeatModel, SourceTerm
 from pitkit.hyperbolic import WaveModel
@@ -123,31 +124,48 @@ _SWEPT_MODELS = {
 _SWEPT_VALUES = {
     int: {"0": 0, "-1": -1, "1": 1, "2": 2, "10^8": 10**8, "10^20": 10**20, "10^400": 10**400},
     float: {text: text for text in ("0.0", "-0.0", "1e-320", "1e-160", "1e154", "1e308", "-1e308")},
+    bool: {repr(text): text for text in ("", "maybe", "2", "on", "-1")},
+    "modes": {**{text: text for text in ("1", "1:", ":1", "0:1", "-1:1", "1:nan", "1:1e400", "a:b",
+                                         "1:1 1:2", "200:1")},
+              "10^399:1": "1" + "0" * 399 + ":1"},
 }
-# the int sweep keeps its first five models; the float sweep adds a forced spectral one
+# the int sweep keeps its first five models; the float, bool and modes
+# sweeps add a forced spectral one
 _SWEEPS = [pytest.param(int, model, id=model) for model in list(_SWEPT_MODELS)[:5]] + [
-    pytest.param(float, model, id=f"float-{model}") for model in _SWEPT_MODELS]
+    pytest.param(kind, model, id=f"{getattr(kind, '__name__', kind)}-{model}")
+    for kind in (float, bool, "modes") for model in _SWEPT_MODELS]
+# the bool and modes values leave the run's work alone, so the sweeps of
+# those keys also run every input that builds, on 4 slices of 1/16 (CFL
+# number 1 for the swept advection model) with 2 sweeps
+_SHORT_RUN = {"partition.t_end": 0.25, "partition.n_slices": 4, "run.iterations": 2}
 
 
 @pytest.mark.parametrize("kind, model", _SWEEPS)
 def test_every_int_key_builds_or_raises_config_error(tmp_path, kind, model):
-    """Each int (or float) key of the schema, set alone to each of a few
-    small, large and overflowing values, either builds or raises
-    ConfigError: never another exception."""
+    """Each int, float, bool or modes key of the schema, set alone to each
+    of a few small, large, overflowing or malformed values, either builds
+    or raises ConfigError: never another exception.  A bool or modes input
+    that builds also runs through ``cli.main`` and exits 0, 2 or 3."""
     cfg = tmp_path / "exp.ini"
     failures = []
     keys = [key for key, (_, key_kind) in _SCHEMA.items() if key_kind is kind]
     values = _SWEPT_VALUES[kind]
+    runs = kind in (bool, "modes")
+    base = {**_SWEPT_MODELS[model], **(_SHORT_RUN if runs else {})}
     for key, label in itertools.product(keys, values):
         sections: dict[str, list[str]] = {}
-        for section_key, text in {**_SWEPT_MODELS[model], key: values[label]}.items():
+        for section_key, text in {**base, key: values[label]}.items():
             section, name = section_key.split(".")
             sections.setdefault(section, []).append(f"{name} = {text}\n")
         cfg.write_text("".join(f"[{section}]\n" + "".join(lines) for section, lines in sections.items()))
         try:
             build_parareal(load_config(str(cfg)))
+            if runs:
+                code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "trace.csv")])
+                if code not in (0, 2, 3):
+                    failures.append(f"{key} = {label}: exit {code}")
         except ConfigError:
             pass
         except Exception as exc:
             failures.append(f"{key} = {label}: {type(exc).__name__}: {exc}")
-    assert failures == []
+    assert keys and failures == []

@@ -31,6 +31,7 @@ from pitkit.heat import (
     _ThomasFactor,
     conserved_mean,
     grid_step,
+    identity_minus,
     implicit_system,
 )
 from pitkit.hyperbolic import AdvectionModel, WaveModel, wave_energy
@@ -205,32 +206,46 @@ def test_advection_at_unit_cfl_is_an_exact_shift(n_cells, speed, bc, shift, seed
 def test_stacked_thomas_solve_equals_row_by_row(n_cells, bc, dt, width, seed):
     """Below STACKED_SOLVE_MIN_ROWS rows a stack is solved row by row, from
     there on by one sweep across the stack; either way each row gets the
-    bits of its own one-row solve, signed zeros included."""
-    factor = _ThomasFactor(implicit_system(HeatModel(n_cells, bc), dt))
+    bits of its own one-row solve and of the stacked sweep, signed zeros
+    and rows of them included, for the heat factor I - dt*L and the wave
+    factor I - dt^2/4*L.  The row kernel with a shift row gives the bits of
+    solving the shifted row."""
     rng = np.random.default_rng(seed)
-    rhs = rng.uniform(-1.0, 1.0, (width, factor.n))
-    rhs[rng.random(rhs.shape) < 0.2] = 0.0
-    rhs[rng.random(rhs.shape) < 0.2] = -0.0
-    got = factor.solve(rhs)
-    assert got.shape == rhs.shape
-    for row, values in zip(rhs, got):
-        assert values.tobytes() == factor.solve(row).tobytes()
+    for factor in (_ThomasFactor(implicit_system(HeatModel(n_cells, bc), dt)),
+                   _ThomasFactor(identity_minus(WaveModel(n_cells).laplacian(), 0.25 * dt * dt))):
+        rhs = rng.uniform(-1.0, 1.0, (width, factor.n))
+        rhs[rng.random(rhs.shape) < 0.2] = 0.0
+        rhs[rng.random(rhs.shape) < 0.2] = -0.0
+        rhs[0] = -0.0
+        got = factor.solve(rhs)
+        assert got.shape == rhs.shape
+        for row, values, swept in zip(rhs, got, factor._solve_stack(rhs)):
+            one = factor.solve(row).tobytes()
+            assert values.tobytes() == one and swept.tobytes() == one
+        shift = rng.uniform(-1.0, 1.0, factor.n)
+        shift[rng.random(factor.n) < 0.3] = 0.0
+        y = rhs[0].tolist()
+        factor.solve_row(y, shift.tolist())
+        assert np.array(y).tobytes() == factor.solve(rhs[0] + shift).tobytes()
 
 
 # (n_slices, t_end) of the stacked-march property: 1/7 is no binary
 # fraction, so slice lengths differ in the last bit and the march splits
 # its one stack into several groups; n/16 gives slices of exactly 1/16, one
-# group on each side of the width threshold
+# group on each side of the width threshold, so a heat group marches row by
+# row in Python floats for 7 and 15 slices and as one stack for 16 and 32
 _MARCH_PARTITIONS = [(7, 1.0)] + [
     (n, n / 16) for n in (STACKED_SOLVE_MIN_ROWS - 1, STACKED_SOLVE_MIN_ROWS, 2 * STACKED_SOLVE_MIN_ROWS)]
 
 
 def _march_model(case, n_cells, cells_per_step):
-    """The model of one stacked-march case; advection gets the grid that
-    makes its CFL number 1 or about 1/2."""
+    """The model of one stacked-march case; heat is pulsed unless the case
+    ends in "-zero", and advection gets the grid that makes its CFL number
+    1 or about 1/2."""
     pulsed = SourceTerm.pulsed()
     if case.startswith("heat"):
-        return HeatModel(n_cells, case.split("-")[1], pulsed)
+        _, bc, *zero = case.split("-")
+        return HeatModel(n_cells, bc, SourceTerm.zero() if zero else pulsed)
     if case == "wave":
         return WaveModel(n_cells)
     _, bc, cfl = case.split("-")
@@ -239,7 +254,8 @@ def _march_model(case, n_cells, cells_per_step):
 
 
 @pytest.mark.parametrize("case", [
-    "heat-dirichlet", "heat-neumann", "advection-periodic-nu1", "advection-periodic-nuhalf",
+    "heat-dirichlet", "heat-neumann", "heat-dirichlet-zero", "heat-neumann-zero",
+    "advection-periodic-nu1", "advection-periodic-nuhalf",
     "advection-inflow-nu1", "advection-inflow-nuhalf", "wave"])
 @settings(max_examples=12, deadline=None)
 @given(partition=st.sampled_from(_MARCH_PARTITIONS), steps=st.integers(1, 3),
@@ -248,15 +264,19 @@ def test_stacked_march_equals_per_slice_steps(case, partition, steps, n_cells, s
     """A sweep propagates all its slices in one call, which the grid march
     groups by slice length; every boundary gets the bits of stepping its
     slice alone with ``grid_step``, which builds a fresh stepper for every
-    step."""
+    step and solves through the array step, signed zeros included."""
     n_slices, t_end = partition
     model = _march_model(case, n_cells, round(steps * n_slices / t_end))
     spec = PropagatorSpec(model, "fine", steps_per_slice=steps)
     rng = np.random.default_rng(seed)
     size = model.layout().size
-    old = np.array([rng.uniform(-1.0, 1.0, size) for _ in range(n_slices + 1)])
-    # no row of old is the zero run's reference value, so every slice is propagated
-    config = PararealConfig(TimePartition(0.0, t_end, n_slices), model.zero_state(), spec,
+    old = rng.uniform(-1.0, 1.0, (n_slices + 1, size))
+    old[rng.random(old.shape) < 0.2] = 0.0
+    old[rng.random(old.shape) < 0.2] = -0.0
+    old[0], old[1] = -0.0, 0.0
+    # the reference of a run from u0 = 2 holds no row of random draws and
+    # signed zeros, so no row of old is locked and every slice is propagated
+    config = PararealConfig(TimePartition(0.0, t_end, n_slices), np.full(size, 2.0), spec,
                             layout=model.layout())
     new, _ = parareal_iterate(old, config, reference_fine_sequential(config))
     lengths = set()

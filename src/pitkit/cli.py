@@ -221,9 +221,16 @@ def build_argument_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call of ``main`` and reused by every later call in the
+# process: a parse leaves the parser unchanged
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_argument_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_argument_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

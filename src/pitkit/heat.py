@@ -103,13 +103,17 @@ class GridModel:
         to t_to[i] with spec.steps_per_slice equal steps.
 
         Rows of bitwise equally long slices share a substep and one stepper,
-        and march as one group.  A group narrower than
-        STACKED_SOLVE_MIN_ROWS whose stepper has a row form marches each
-        row alone as a list of Python floats, across all its substeps; any
-        other group marches as one stack.  Both give the same bits.
-        Substep times are computed multiplicatively from the slice ends so
-        a sweep over adjacent slices hits exactly the same instants as one
-        long propagate over their union.
+        and march as one group.  When the model's step reads no time (a
+        zero source), a group marches each bitwise-distinct input row once
+        and copies its end to the rows that repeat it: the march is
+        deterministic, so equal inputs end equal.  Rows compare by their
+        bytes, so -0.0 and +0.0 march apart.  A group with fewer than
+        STACKED_SOLVE_MIN_ROWS rows to march whose stepper has a row form
+        marches each row alone as a list of Python floats, across all its
+        substeps; any other group marches as one stack.  Both give the same
+        bits.  Substep times are computed multiplicatively from the slice
+        ends so a sweep over adjacent slices hits exactly the same instants
+        as one long propagate over their union.
         """
         steps = spec.steps_per_slice
         t_from = np.asarray(t_from, dtype=float).tolist()
@@ -123,8 +127,19 @@ class GridModel:
                 raise ValueError(f"need t_to > t_from, got [{a}, {b}]")
             groups.setdefault(b - a, []).append(i)
         out = np.empty(states.shape)
+        autonomous = self.source.is_zero
+        repeats: list[tuple[int, int]] = []  # (row, the row it repeats)
         for span, rows in groups.items():
             step, row_step = self._stepper(spec, span)
+            if autonomous and len(rows) > 1:
+                first: dict[bytes, int] = {}
+                for row in rows:
+                    key = states[row].tobytes()
+                    if key in first:
+                        repeats.append((row, first[key]))
+                    else:
+                        first[key] = row
+                rows = list(first.values())
             if row_step is not None and len(rows) < STACKED_SOLVE_MIN_ROWS:
                 for row in rows:
                     y, t = states[row].tolist(), t_from[row]
@@ -136,6 +151,8 @@ class GridModel:
             for i in range(steps):
                 u = step(u, [t_from[row] + (i * span) / steps for row in rows])
             out[rows] = u
+        for row, marched in repeats:
+            out[row] = out[marched]
         return out
 
     def _stepper(self, spec: PropagatorSpec, span: float):

@@ -89,6 +89,9 @@ class WaveModel(GridModel):
     """
 
     n_cells: int = 128
+    # unforced: a class attribute, not a field, so that ``source.is_zero``
+    # answers for every grid model
+    source = SourceTerm.zero()
 
     def __post_init__(self):
         _check_cells(self.n_cells)

@@ -151,6 +151,60 @@ def test_run_parallel_is_echoed_and_selects_nothing(tmp_path):
     assert differing == [("# run.parallel = true", "# run.parallel = false")]
 
 
+def _call(argv, capsys):
+    """(exit code, stdout, stderr) of one ``main`` call; a parse error's
+    SystemExit counts as its exit code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys, monkeypatch):
+    """``main`` builds its parser once, and a reused parser answers every
+    call as a freshly built one does: no flag of one call leaks into the next."""
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(
+        "[model]\nkind = spectral\nbasis = sine\n"
+        "[partition]\nt_end = 3.0\nn_slices = 4\n"
+        "[fine]\nmode_count = 8\n"
+        "[coarse]\nrole = coarse\nmode_count = 1\n"
+        "[run]\niterations = 3\n"
+    )
+    argvs = [
+        ["run", "--preset", "heat-dirichlet-N6", "--iterations", "2"],
+        ["run", "--config", str(cfg)],
+        ["run", "--config", str(cfg), "--no-coarse"],
+        ["run", "--config", str(cfg), "--iterations", "1"],
+        ["run", "--preset", "heat-dirichlet-N6", "--bogus"],
+        ["run", "--preset", "heat-dirichlet-N6", "--no-coarse", "--iterations", "1"],
+        ["run", "--preset", "heat-dirichlet-N6", "--iterations", "1"],
+    ]
+    builds = []
+    build = cli.build_argument_parser
+
+    def counting():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_argument_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    reused = [_call(argv, capsys) for argv in argvs]
+    assert len(builds) == 1
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(_call(argv, capsys))
+    assert len(builds) == 1 + len(argvs)
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 0, 0]
+    assert "unrecognized arguments: --bogus" in reused[4][2]
+    assert len({out for _, out, _ in reused}) == len(argvs)
+    for argv, got, want in zip(argvs, reused, fresh):
+        assert got == want, argv
+
+
 # ---------------------------------------------------------------- overrides
 
 

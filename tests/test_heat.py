@@ -16,6 +16,8 @@ from pitkit.heat import (
     thomas_solve,
 )
 from pitkit.hyperbolic import AdvectionModel, WaveModel
+from pitkit.parareal import run
+from pitkit.presets import ExperimentConfig, build_parareal
 
 from independent_sweeps import _propagate_one
 
@@ -182,6 +184,73 @@ def test_march_form_follows_group_width(monkeypatch, case):
     t_from = [0.25 * i for i in range(width)]
     model.propagate(spec, states, t_from, [t + 0.25 for t in t_from])
     assert (calls["solve_row"], calls["solve"], calls["_solve_stack"]) == want
+
+
+def _count_row_solves(monkeypatch):
+    """A one-item list that counts ``_ThomasFactor.solve_row`` calls from
+    here on: one per row and substep of a march narrower than
+    STACKED_SOLVE_MIN_ROWS."""
+    count = [0]
+    solve_row = heat._ThomasFactor.solve_row
+
+    def counted(self, *args):
+        count[0] += 1
+        return solve_row(self, *args)
+
+    monkeypatch.setattr(heat._ThomasFactor, "solve_row", counted)
+    heat._cached_stepper.cache_clear()
+    return count
+
+
+def test_replicated_wave_run_marches_one_row_per_sweep(monkeypatch):
+    """Started from the replicated u0, every unlocked input of a coarse-free
+    wave sweep is one row, F^(k-1)(u0), which the march solves once."""
+    steps, n_slices = 4, 6
+    config = build_parareal(ExperimentConfig(
+        model_kind="wave", n_cells=16, source_kind="zero", initial_kind="modes",
+        initial_modes=((1, 1.0), (3, 0.5)), t_end=0.75, n_slices=n_slices,
+        fine_steps=steps, coarse_role="none", iterations=n_slices, initial_guess="replicate_u0"))
+    count = _count_row_solves(monkeypatch)
+    per_sweep = []
+
+    def on_iteration(k, values):
+        per_sweep.append(count[0])
+        count[0] = 0
+
+    run(config, on_iteration=on_iteration)
+    # the first count also holds the sequential reference, one row per
+    # slice; sweep k has n_slices - k unlocked inputs, the last none
+    assert per_sweep == [(n_slices + 1) * steps] + [steps] * (n_slices - 2) + [0]
+
+
+def test_pulsed_heat_marches_every_row_of_equal_inputs(monkeypatch):
+    """A pulsed step reads the time, so equal inputs on different slices of
+    one length end apart and each marches."""
+    model = HeatModel(16, "dirichlet", SourceTerm.pulsed())
+    spec = PropagatorSpec(model, "fine", steps_per_slice=3)
+    states = np.tile(np.sin(np.pi * model.grid_x), (4, 1))
+    t_from = [0.0, 0.25, 0.5, 0.75]
+    count = _count_row_solves(monkeypatch)
+    out = model.propagate(spec, states, t_from, [t + 0.25 for t in t_from])
+    assert count[0] == 4 * 3
+    assert len({row.tobytes() for row in out}) == 4
+
+
+@pytest.mark.parametrize("model", [HeatModel(16, "neumann"), WaveModel(16)], ids=["heat", "wave"])
+def test_rows_apart_only_in_a_signed_zero_march_apart(monkeypatch, model):
+    """Rows compare by their bytes: +0.0 and -0.0 are two inputs, and a
+    repeat of either marches with it."""
+    spec = PropagatorSpec(model, "fine", steps_per_slice=3)
+    plus = np.random.default_rng(3).normal(size=model.layout().size)
+    plus[0] = 0.0
+    minus = plus.copy()
+    minus[0] = -0.0
+    states = np.array([plus, minus, plus, minus])
+    count = _count_row_solves(monkeypatch)
+    out = model.propagate(spec, states, [0.0, 0.5, 1.0, 0.0], [0.25, 0.75, 1.25, 0.25])
+    assert count[0] == 2 * 3
+    for row, values in zip(states, out):
+        assert values.tobytes() == _propagate_one(spec, row, (0.0, 0.25)).tobytes()
 
 
 def test_propagate_validates_inputs():

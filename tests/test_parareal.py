@@ -253,9 +253,11 @@ def test_parallel_and_serial_fine_solves_agree_bitwise():
 
 
 def test_wide_wave_stacks_match_reordered_sweeps(monkeypatch):
-    """Wave sweeps with at least STACKED_SOLVE_MIN_ROWS unlocked slices take
-    the stacked Thomas sweep and still give the bits of one-row solves in
-    reversed slice order."""
+    """Wave sweeps with at least STACKED_SOLVE_MIN_ROWS distinct unlocked
+    inputs take the stacked Thomas sweep and still give the bits of one-row
+    solves in reversed slice order.  The random guess makes the inputs
+    distinct: a replicated one would hand every sweep one repeated row,
+    which propagate marches once."""
     widths = []
     solve_stack = heat._ThomasFactor._solve_stack
 
@@ -268,7 +270,7 @@ def test_wide_wave_stacks_match_reordered_sweeps(monkeypatch):
     config = build_parareal(ExperimentConfig(
         model_kind="wave", n_cells=16, source_kind="zero", initial_kind="modes",
         initial_modes=((1, 1.0), (3, 0.5)), t_end=n_slices / 16, n_slices=n_slices,
-        fine_steps=4, coarse_role="none", iterations=3))
+        fine_steps=4, coarse_role="none", iterations=3, initial_guess="random"))
     assert_sweeps_match_reordered(config)
     assert widths and min(widths) >= heat.STACKED_SOLVE_MIN_ROWS
 

@@ -10,7 +10,9 @@ random small configurations instead of the named presets.
   source, the wave propagator conserves the discrete energy, and upwind
   advection at CFL number 1 is an exact shift (criterion 10);
 - a stacked Thomas solve gives the bits of row-by-row solves, and a sweep's
-  stacked fine march the bits of one slice at a time (criterion 10).
+  stacked fine march the bits of one slice at a time (criterion 10);
+- a grid march that marches each distinct input once gives every row the
+  bits of its own one-row march, repeated rows and signed zeros included.
 
 Slice counts stay at 8 or below, except in the stacked-march property, and
 grids stay small, so each example runs quickly.
@@ -289,3 +291,68 @@ def test_stacked_march_equals_per_slice_steps(case, partition, steps, n_cells, s
             want = grid_step(model, want, t_from + (i * span) / steps, span / steps)
         assert new[n + 1].tobytes() == want.tobytes(), f"boundary {n + 1}"
     assert len(lengths) == (3 if n_slices == 7 else 1)
+
+
+# slice lengths and start times of the distinct-row march property: 1/7 is
+# no binary fraction, so equal drawn lengths may still differ in the last
+# bit of t_to - t_from, and the march then splits them into two groups
+_REPEAT_SPANS = (0.125, 0.25, 1 / 7)
+_REPEAT_STARTS = (0.0, 0.125, 0.3, 1 / 7)
+
+
+def _repeat_model(case, n_cells):
+    """The model of one distinct-row march case: heat and advection are
+    pulsed unless the case ends in "-zero"."""
+    kind, *rest = case.split("-")
+    if kind == "wave":
+        return WaveModel(n_cells)
+    source = SourceTerm.zero() if rest[1:] else SourceTerm.pulsed()
+    if kind == "heat":
+        return HeatModel(n_cells, rest[0], source)
+    return AdvectionModel(1.0, n_cells, rest[0], source)
+
+
+@pytest.mark.parametrize("case", [
+    "heat-dirichlet", "heat-neumann", "heat-dirichlet-zero", "heat-neumann-zero",
+    "advection-periodic", "advection-inflow", "advection-periodic-zero", "advection-inflow-zero",
+    "wave"])
+@settings(max_examples=12, deadline=None)
+@given(n_cells=st.integers(2, 12), extra_steps=st.integers(0, 2), wide=st.booleans(),
+       picks=st.lists(st.tuples(st.integers(-1, 2), st.booleans(), st.sampled_from(_REPEAT_SPANS),
+                                st.sampled_from(_REPEAT_STARTS)), min_size=1, max_size=12),
+       seed=st.integers(0, 2**16))
+def test_distinct_row_march_equals_one_row_steps(case, n_cells, extra_steps, wide, picks, seed):
+    """Each pick (base, signed, span, start) adds a row that repeats base row
+    ``base`` (a fresh random row for -1), with its zeros made -0.0 when
+    ``signed``, marched across [start, start + span].  Every base row holds
+    a zero, and base row 2 is the zero state.  ``wide`` adds STACKED_SOLVE_MIN_ROWS fresh rows of one
+    slice, so a group of distinct rows takes the stacked sweep.  Every row
+    of ``GridModel.propagate`` gets the bits of stepping it alone with
+    ``grid_step``, whether its model's step reads the time or not."""
+    model = _repeat_model(case, n_cells)
+    # advection keeps its CFL number at most 1 on the longest slice
+    least = math.ceil(max(_REPEAT_SPANS) * n_cells) if case.startswith("advection") else 1
+    steps = least + extra_steps
+    rng = np.random.default_rng(seed)
+    size = model.layout().size
+    bases = rng.uniform(-1.0, 1.0, (3, size))
+    bases[rng.random(bases.shape) < 0.2] = 0.0
+    bases[:, 0] = 0.0
+    bases[2] = 0.0
+    if wide:
+        picks = picks + [(-1, False, 0.25, 0.0)] * STACKED_SOLVE_MIN_ROWS
+    rows, t_from, t_to = [], [], []
+    for base, signed, span, start in picks:
+        row = rng.uniform(-1.0, 1.0, size) if base < 0 else bases[base].copy()
+        if signed:
+            row[row == 0.0] = -0.0
+        rows.append(row)
+        t_from.append(start)
+        t_to.append(start + span)
+    states = np.array(rows)
+    got = model.propagate(PropagatorSpec(model, "fine", steps_per_slice=steps), states, t_from, t_to)
+    for i, (row, a, b) in enumerate(zip(states, t_from, t_to)):
+        want = row
+        for j in range(steps):
+            want = grid_step(model, want, a + (j * (b - a)) / steps, (b - a) / steps)
+        assert got[i].tobytes() == want.tobytes(), f"row {i}"
